@@ -65,7 +65,8 @@ from typing import (Dict, FrozenSet, List, Mapping, Optional, Sequence,
 from repro.analysis.diagnostics import (Diagnostic, LintReport, Severity,
                                         register_rules)
 from repro.analysis.opcode import (_class_sources, _ClassSources,
-                                   _dotted_name, try_analyze)
+                                   _dotted_name, specs_with_code,
+                                   try_analyze)
 from repro.core.graph import StateKind, Topology
 from repro.operators.base import Operator, load_operator_class
 
@@ -541,9 +542,7 @@ def try_analyze_deploy(class_path: Optional[str]) -> Optional[DeployFacts]:
 def _operator_diagnostics(topology: Topology,
                           rules: FrozenSet[str]) -> List[Diagnostic]:
     findings: List[Diagnostic] = []
-    for spec in topology.operators:
-        if not spec.operator_class:
-            continue
+    for spec in specs_with_code(topology):
         try:
             facts = analyze_deploy_path(spec.operator_class)
         except (ImportError, OSError, SyntaxError, TypeError) as exc:

@@ -147,18 +147,20 @@ def verify_graph(
                  "partitioned-stateful operator has no key distribution "
                  "(fission cannot partition its state)", op.name)
         if op.key_frequencies is not None:
-            bad = {k: f for k, f in op.key_frequencies.items()
-                   if math.isnan(f) or f <= 0.0}
-            if bad:
+            # min() skips a NaN that follows a smaller value, but then
+            # every value is positive or NaN and the sum is NaN.
+            values = op.key_frequencies.values()
+            total = (math.fsum(values) if min(values, default=1.0) > 0.0
+                     else math.nan)
+            if math.isnan(total):
+                bad = sorted(k for k, f in op.key_frequencies.items()
+                             if math.isnan(f) or f <= 0.0)
                 emit("SS113", Severity.ERROR,
-                     f"non-positive key frequencies: "
-                     f"{sorted(bad)[:5]}", op.name)
-            else:
-                total = math.fsum(op.key_frequencies.values())
-                if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
-                    emit("SS113", Severity.ERROR,
-                         f"key frequencies sum to {total}, expected 1",
-                         op.name)
+                     f"non-positive key frequencies: {bad[:5]}", op.name)
+            elif not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
+                emit("SS113", Severity.ERROR,
+                     f"key frequencies sum to {total}, expected 1",
+                     op.name)
         if op.state is StateKind.STATEFUL and op.replication > 1:
             emit("SS116", Severity.WARNING,
                  f"replication {op.replication} declared on a stateful "

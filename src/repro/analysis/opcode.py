@@ -46,7 +46,8 @@ from typing import Dict, FrozenSet, List, Optional, Set, Tuple
 
 from repro.analysis.diagnostics import (Diagnostic, LintReport, Severity,
                                         register_rules)
-from repro.core.graph import StateKind, Topology
+from repro.core.graph import (META_OPERATOR_CLASS, OperatorSpec, StateKind,
+                              Topology)
 from repro.operators.base import KeyedOperator, Operator, load_operator_class
 
 OPCODE_RULES = tuple(f"SS2{i:02d}" for i in range(1, 8))
@@ -438,12 +439,20 @@ def try_analyze(class_path: Optional[str]) -> Optional[OperatorCodeFacts]:
         return None
 
 
+def specs_with_code(topology: Topology) -> List[OperatorSpec]:
+    """The specs that name a class to analyze.
+
+    A fused vertex names the meta-operator marker instead: there is no
+    class behind it, and its members were analyzed before fusion.
+    """
+    return [spec for spec in topology.operators
+            if spec.operator_class not in (None, "", META_OPERATOR_CLASS)]
+
+
 def verify_code(topology: Topology) -> LintReport:
     """Run the opcode rules over every spec that names a class."""
     findings: List[Diagnostic] = []
-    for spec in topology.operators:
-        if not spec.operator_class:
-            continue
+    for spec in specs_with_code(topology):
         try:
             facts = analyze_class_path(spec.operator_class)
         except (ImportError, OSError, SyntaxError, TypeError) as exc:

@@ -58,6 +58,11 @@ def _literal(value: object) -> str:
     if isinstance(value, (int, float, str, bool)) or value is None:
         return repr(value)
     if isinstance(value, dict):
+        # Key distributions: thousands of str -> float items, for which
+        # repr() of the dict is the text the recursion below would build.
+        if (type(value) is dict and set(map(type, value)) <= {str}
+                and set(map(type, value.values())) <= {float}):
+            return repr(value)
         items = ", ".join(
             f"{_literal(k)}: {_literal(v)}" for k, v in value.items()
         )

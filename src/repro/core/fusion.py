@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import (
+    META_OPERATOR_CLASS,
     Edge,
     OperatorSpec,
     StateKind,
@@ -281,26 +282,22 @@ def _exit_rates(
     """Expected items exiting to each external target per entering item."""
     # Expected arrivals at each member per item entering the front-end,
     # propagated along the (acyclic) internal edges in topological order.
+    # ``members`` is a set: walking it instead would make the order of
+    # the exits, and of the float additions behind each, depend on
+    # PYTHONHASHSEED.
     arrivals = {name: 0.0 for name in members}
     arrivals[front_end] = 1.0
+    exits: Dict[str, float] = {}
     for name in topology.topological_order():
         if name not in members:
             continue
-        spec = topology.operator(name)
-        outflow = arrivals[name] * spec.gain
+        outflow = arrivals[name] * topology.operator(name).gain
         for edge in topology.out_edges(name):
+            flow = outflow * edge.probability
             if edge.target in members:
-                arrivals[edge.target] += outflow * edge.probability
-
-    exits: Dict[str, float] = {}
-    for name in members:
-        spec = topology.operator(name)
-        outflow = arrivals[name] * spec.gain
-        for edge in topology.out_edges(name):
-            if edge.target not in members:
-                exits[edge.target] = (
-                    exits.get(edge.target, 0.0) + outflow * edge.probability
-                )
+                arrivals[edge.target] += flow
+            else:
+                exits[edge.target] = exits.get(edge.target, 0.0) + flow
     return exits
 
 
@@ -350,7 +347,7 @@ def build_fused_topology(topology: Topology, plan: FusionPlan) -> Topology:
         state=StateKind.STATEFUL,
         input_selectivity=1.0,
         output_selectivity=plan.output_selectivity,
-        operator_class="repro.runtime.meta.MetaOperator",
+        operator_class=META_OPERATOR_CLASS,
     )
 
     operators: List[OperatorSpec] = [

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 
@@ -59,6 +60,12 @@ class TopologyError(ValueError):
     """Raised when a topology violates the structural assumptions."""
 
 
+#: ``operator_class`` of a fused vertex.  A marker, not an importable
+#: class: the runtime builds a meta-operator from the fusion plan, and
+#: the code analyzers skip it (the members were analyzed before fusion).
+META_OPERATOR_CLASS = "repro.runtime.meta.MetaOperator"
+
+
 @dataclass(frozen=True)
 class KeyDistribution:
     """Frequency distribution of the partitioning key of an operator.
@@ -66,6 +73,13 @@ class KeyDistribution:
     ``frequencies`` maps each key to the probability that an input item
     carries that key.  The probabilities must be positive and sum to one
     (within numerical tolerance).
+
+    What the analyses derive from a distribution — its items in
+    signature and in heaviest-first order, and one partition plan per
+    ``(heuristic, replicas)`` — is computed once and kept on the
+    instance, so it lives exactly as long as the topology that carries
+    it.  Derived data is not a field: it takes no part in ``==`` or
+    ``repr`` and is left out of pickles and copies.
     """
 
     frequencies: Mapping[str, float]
@@ -81,6 +95,10 @@ class KeyDistribution:
         if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
             raise TopologyError(f"key frequencies must sum to 1, got {total}")
 
+    def __getstate__(self) -> Dict[str, object]:
+        # Fields only: a receiving process recomputes what it needs.
+        return {"frequencies": self.frequencies}
+
     def __len__(self) -> int:
         return len(self.frequencies)
 
@@ -89,6 +107,24 @@ class KeyDistribution:
 
     def max_frequency(self) -> float:
         return max(self.frequencies.values())
+
+    @cached_property
+    def signature(self) -> Tuple[Tuple[str, ...], Tuple[float, ...]]:
+        """Hashable digest of the items in insertion order: the keys,
+        then their frequencies (two flat tuples, not one per key)."""
+        return tuple(self.frequencies), tuple(self.frequencies.values())
+
+    @cached_property
+    def heaviest_first(self) -> Tuple[Tuple[str, float], ...]:
+        """The items by decreasing frequency, ties broken by key."""
+        return tuple(sorted(self.frequencies.items(),
+                            key=lambda item: (-item[1], item[0])))
+
+    @cached_property
+    def partition_plans(self) -> Dict[Tuple[str, int], object]:
+        """``(heuristic, replicas) -> PartitionPlan`` memo, filled by
+        :func:`repro.core.partitioning.key_partitioning`."""
+        return {}
 
     @classmethod
     def uniform(cls, num_keys: int) -> "KeyDistribution":

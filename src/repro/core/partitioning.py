@@ -16,10 +16,16 @@ to (Gedik, "Partitioning Functions for Stateful Data Parallelism in
 Stream Processing", VLDB Journal 2014):
 
 * :func:`greedy_partitioning` — Longest-Processing-Time-first greedy
-  bin packing, the strongest balance for a known distribution;
+  bin packing, the strongest balance for a known distribution, in
+  ``O(K log n)`` for ``K`` keys and ``n`` replicas;
 * :func:`consistent_hash_partitioning` — consistent hashing with
   virtual nodes, the distribution-oblivious scheme used when the key
   frequencies are not trusted.
+
+:func:`key_partitioning` computes one plan per distribution, heuristic
+and degree and keeps it on the :class:`KeyDistribution`, so fission,
+the steady-state model, the simulator, the deployment plan and both
+runtimes read the same plan object.
 """
 
 from __future__ import annotations
@@ -28,6 +34,8 @@ import hashlib
 import zlib
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapreplace
+from types import MappingProxyType
 from typing import Dict, List, Mapping, Tuple
 
 from repro.core.graph import KeyDistribution, TopologyError
@@ -51,13 +59,19 @@ class PartitionPlan:
     Attributes
     ----------
     assignment:
-        Map from key to replica index in ``[0, replicas)``.
+        Map from key to replica index in ``[0, replicas)``.  Read-only:
+        a plan is shared by everyone who asks for the same degree.
     loads:
         Fraction of the input stream routed to each replica; sums to 1.
     """
 
     assignment: Mapping[str, int]
     loads: Tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if not isinstance(self.assignment, MappingProxyType):
+            object.__setattr__(self, "assignment",
+                               MappingProxyType(self.assignment))
 
     @property
     def replicas(self) -> int:
@@ -76,20 +90,25 @@ class PartitionPlan:
 def greedy_partitioning(keys: KeyDistribution, replicas: int) -> PartitionPlan:
     """Assign keys to ``replicas`` bins greedily, heaviest key first.
 
-    Keys are sorted by decreasing frequency and each is assigned to the
-    currently least-loaded replica (LPT rule).  Replicas that end up
-    empty are dropped, so the returned plan may use fewer replicas than
-    requested — matching the paper's ``n_i <= n_opt`` behaviour.
+    Keys are taken by decreasing frequency (ties by key, so the result
+    is deterministic) and each is assigned to the currently least-loaded
+    replica, the lowest index among equals (LPT rule).  Replicas that
+    end up empty are dropped, so the returned plan may use fewer
+    replicas than requested — matching the paper's ``n_i <= n_opt``
+    behaviour.
     """
     if replicas < 1:
         raise TopologyError(f"replicas must be >= 1, got {replicas}")
-    loads = [0.0] * replicas
+    # A min-heap of (load, index): its root is the least-loaded replica.
+    heap = [(0.0, index) for index in range(replicas)]
     assignment: Dict[str, int] = {}
-    # Sort by (-frequency, key) so ties break deterministically.
-    for key, freq in sorted(keys.items(), key=lambda kv: (-kv[1], kv[0])):
-        index = min(range(replicas), key=lambda i: (loads[i], i))
+    for key, freq in keys.heaviest_first:
+        load, index = heap[0]
         assignment[key] = index
-        loads[index] += freq
+        heapreplace(heap, (load + freq, index))
+    loads = [0.0] * replicas
+    for load, index in heap:
+        loads[index] = load
     return _drop_empty(assignment, loads)
 
 
@@ -137,14 +156,21 @@ def key_partitioning(
 
     Returns ``(n_i, p_max, plan)``: the number of replicas actually
     used (``n_i <= optimal_replicas``), the fraction of items routed to
-    the most loaded replica and the full plan.
+    the most loaded replica and the full plan.  The plan is computed on
+    the first request for ``(heuristic, optimal_replicas)`` and shared
+    by later ones.
     """
-    if heuristic == "greedy":
-        plan = greedy_partitioning(keys, optimal_replicas)
-    elif heuristic == "consistent-hash":
-        plan = consistent_hash_partitioning(keys, optimal_replicas)
-    else:
-        raise TopologyError(f"unknown partitioning heuristic {heuristic!r}")
+    plans = keys.partition_plans
+    plan = plans.get((heuristic, optimal_replicas))
+    if plan is None:
+        if heuristic == "greedy":
+            plan = greedy_partitioning(keys, optimal_replicas)
+        elif heuristic == "consistent-hash":
+            plan = consistent_hash_partitioning(keys, optimal_replicas)
+        else:
+            raise TopologyError(
+                f"unknown partitioning heuristic {heuristic!r}")
+        plans[heuristic, optimal_replicas] = plan
     return plan.replicas, plan.p_max, plan
 
 
@@ -157,7 +183,9 @@ def partition_shares(keys: KeyDistribution, replicas: int,
 
 def _drop_empty(assignment: Dict[str, int], loads: List[float]) -> PartitionPlan:
     """Renumber replicas dropping the ones that received no key."""
-    used = sorted({index for index in assignment.values()})
+    used = sorted(set(assignment.values()))
+    if len(used) == len(loads):
+        return PartitionPlan(assignment=assignment, loads=tuple(loads))
     renumber = {old: new for new, old in enumerate(used)}
     packed = {key: renumber[index] for key, index in assignment.items()}
     packed_loads = tuple(loads[old] for old in used)

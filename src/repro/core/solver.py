@@ -56,7 +56,7 @@ def _spec_signature(spec: OperatorSpec) -> tuple:
     configure the runtime implementation, not the cost model, so two
     topologies differing only there share one cache entry.
     """
-    keys = tuple(spec.keys.items()) if spec.keys is not None else None
+    keys = spec.keys.signature if spec.keys is not None else None
     return (
         spec.name,
         spec.service_time,

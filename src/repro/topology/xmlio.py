@@ -461,8 +461,12 @@ def _parse_keys(element: ET.Element, operator: str,
                 f"operator {operator!r}: unexpected element <{child.tag}> "
                 "inside <keys>"
             )
-        key_id = _require(child, "id")
-        raw_probability = _require(child, "probability")
+        key_id = child.get("id")
+        raw_probability = child.get("probability")
+        if key_id is None or raw_probability is None:
+            # One of these raises, naming the missing attribute.
+            _require(child, "id")
+            _require(child, "probability")
         try:
             frequencies[key_id] = float(raw_probability)
         except ValueError:

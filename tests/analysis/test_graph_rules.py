@@ -71,6 +71,29 @@ def test_draft_of_round_trips_specs():
     assert rebuilt.operator("work").keys is not None
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("frequencies, message", [
+    # A NaN anywhere is named, whatever it hides behind.
+    ({"a": 0.5, "b": NAN, "c": 0.5}, "non-positive key frequencies: ['b']"),
+    ({"a": NAN, "b": 0.5, "c": 0.5}, "non-positive key frequencies: ['a']"),
+    ({"a": 0.7, "b": NAN, "c": -0.1, "d": 0.0},
+     "non-positive key frequencies: ['b', 'c', 'd']"),
+    ({"z": 0.0, "a": 1.0}, "non-positive key frequencies: ['z']"),
+    ({"a": 0.5, "b": 0.4}, "key frequencies sum to 0.9, expected 1"),
+    ({}, "key frequencies sum to 0.0, expected 1"),
+    ({"a": 0.5, "b": 0.5}, None),
+])
+def test_key_frequency_diagnostics(frequencies, message):
+    draft = parse_draft(_fixture("SS113", "clean"))
+    work = next(op for op in draft.operators if op.name == "work")
+    work.key_frequencies = frequencies
+    found = [d.message for d in verify_graph(draft).diagnostics
+             if d.rule == "SS113"]
+    assert found == ([message] if message else [])
+
+
 def test_stateful_replication_warning_on_validated_topology():
     topology = parse_topology(_fixture("SS116", "trigger"))
     report = verify_graph(topology)

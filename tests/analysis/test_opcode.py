@@ -6,6 +6,7 @@ import pkgutil
 
 import pytest
 
+from repro.analysis.lint import lint_topology
 from repro.analysis.opcode import (
     OPCODE_RULES,
     analyze_class_path,
@@ -15,7 +16,9 @@ from repro.analysis.opcode import (
     try_analyze,
     verify_code,
 )
+from repro.core.autofusion import auto_fuse
 from repro.core.graph import (
+    META_OPERATOR_CLASS,
     Edge,
     KeyDistribution,
     OperatorSpec,
@@ -23,6 +26,7 @@ from repro.core.graph import (
     Topology,
 )
 from repro.operators.base import Operator
+from repro.topology import generate_testbed
 
 from tests.analysis.fixtures import opfixtures as fx
 
@@ -133,6 +137,19 @@ def test_corpus_covers_every_opcode_rule():
 def test_specs_without_classes_are_skipped():
     report = verify_code(_topology(None))
     assert report.clean
+
+
+def test_fused_testbed_topologies_pass_the_tools_own_lint():
+    # A fused vertex carries the meta-operator marker, not a class to
+    # import: its members were analyzed before fusion.
+    fused = [result.fused for result in map(auto_fuse, generate_testbed(50))
+             if result.operators_removed]
+    assert len(fused) >= 20
+    for topology in fused:
+        assert any(spec.operator_class == META_OPERATOR_CLASS
+                   for spec in topology.operators)
+        assert lint_topology(topology).ok, topology.name
+        assert not lint_topology(topology, backend="process").has("SS207")
 
 
 def test_over_declared_is_info_severity():

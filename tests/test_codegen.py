@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from repro.codegen.ss2py import CodegenConfig, generate_code, write_code
+from repro.codegen.ss2py import (CodegenConfig, _literal, generate_code,
+                                 write_code)
 from repro.core.fusion import apply_fusion
 from repro.core.graph import (
     Edge,
@@ -39,6 +40,26 @@ def executable_topology():
         [Edge("src", "flt"), Edge("flt", "agg"), Edge("agg", "sink")],
         name="codegen-test",
     )
+
+
+class TestLiteral:
+    def test_key_frequencies_render_as_item_by_item(self):
+        frequencies = dict(KeyDistribution.zipf(50, 1.2).frequencies)
+        frequencies["it's"] = 1e-300
+        item_by_item = "{" + ", ".join(
+            f"{key!r}: {value!r}" for key, value in frequencies.items()) + "}"
+        assert _literal(frequencies) == item_by_item
+        assert _literal({}) == "{}"
+
+    def test_mixed_dicts_still_render(self):
+        assert (_literal({"n": 3, "xs": (1.5,), "on": True, "none": None})
+                == "{'n': 3, 'xs': (1.5,), 'on': True, 'none': None}")
+
+    def test_unsupported_types_are_rejected(self):
+        for value in ({"weights": {1.0, 2.0}}, {"a": 0.5, "b": object()},
+                      {"a": 0.5, "b": 1j}):
+            with pytest.raises(TopologyError, match="cannot serialize"):
+                _literal(value)
 
 
 class TestGeneration:

@@ -22,6 +22,8 @@ from repro.operators.window import CountSlidingWindow
 from repro.topology.random_gen import RandomTopologyGenerator, zipf_probabilities
 from repro.topology.xmlio import parse_topology, topology_to_xml
 
+from tests.core.test_partitioning import reference_lpt
+
 SEEDS = st.integers(min_value=0, max_value=2_000)
 RELAXED = settings(max_examples=40, deadline=None,
                    suppress_health_check=[HealthCheck.too_slow])
@@ -157,6 +159,15 @@ class TestPartitioningProperties:
         # LPT guarantee: p_max <= 1/n + heaviest key frequency.
         plan = greedy_partitioning(keys, replicas)
         assert plan.p_max <= 1.0 / replicas + keys.max_frequency() + 1e-9
+
+    @given(keys=key_distributions, replicas=st.integers(1, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_greedy_equals_reference_scan(self, keys, replicas):
+        # Same choices, same float additions: equal to the last bit.
+        plan = greedy_partitioning(keys, replicas)
+        assignment, loads = reference_lpt(keys, replicas)
+        assert plan.assignment == assignment
+        assert plan.loads == loads
 
     @given(keys=key_distributions, replicas=st.integers(1, 8))
     @settings(max_examples=40, deadline=None)

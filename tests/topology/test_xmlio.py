@@ -134,6 +134,25 @@ class TestParsingErrors:
         with pytest.raises(XmlFormatError, match="<keys>"):
             parse_topology(xml)
 
+    @pytest.mark.parametrize("key, message", [
+        ('<key probability="1"/>',
+         "<key> is missing required attribute 'id'"),
+        ('<key id="k"/>',
+         "<key> is missing required attribute 'probability'"),
+        ('<key/>', "<key> is missing required attribute 'id'"),
+        ('<key id="k" probability="often"/>',
+         "operator 'a': bad probability for key 'k'"),
+        ('<hotkey id="k" probability="1"/>',
+         "operator 'a': unexpected element <hotkey> inside <keys>"),
+    ])
+    def test_malformed_key_element(self, key, message):
+        xml = ('<topology><operator name="a" service-time="1" '
+               'type="partitioned"><keys><key id="ok" probability="0.5"/>'
+               f'{key}</keys></operator></topology>')
+        with pytest.raises(XmlFormatError) as excinfo:
+            parse_topology(xml)
+        assert str(excinfo.value) == message
+
     def test_bad_edge_probability(self):
         xml = ('<topology><operator name="a" service-time="1"/>'
                '<operator name="b" service-time="1"/>'
