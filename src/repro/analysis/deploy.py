@@ -45,6 +45,7 @@ SS311   error     shard placement names unknown operators or shards, or
                   mismatches the replication degree
 SS312   error     shard placement scatters a stateful operator
 SS313   error     a batch flush deadline exceeds the latency budget
+                  (the wait a continuously busy sender may impose)
 SS314   error     adaptive cooldown shorter than one control period
 SS315   warning   predicted checkpoint overhead above the ceiling
 ======  ========  ==========================================================
@@ -783,8 +784,9 @@ def verify_plan(
                     rule="SS313", severity=Severity.ERROR,
                     message=(f"batch flush deadline "
                              f"{edge.batch.flush_timeout:g}s exceeds the "
-                             f"latency budget {budget:g}s: a quiet stream "
-                             "would strand tuples past the deadline"),
+                             f"latency budget {budget:g}s: an idle sender "
+                             "flushes at once, but a continuously busy one "
+                             "may hold a partial batch that long"),
                     subject=f"{edge.source}->{edge.target}",
                 ))
         if (getattr(runtime, "batch_size", 1) > 1
@@ -793,7 +795,8 @@ def verify_plan(
                 rule="SS313", severity=Severity.ERROR,
                 message=(f"global batch flush deadline "
                          f"{runtime.batch_flush_timeout:g}s exceeds the "
-                         f"latency budget {budget:g}s"),
+                         f"latency budget {budget:g}s (the worst case "
+                         "under a continuously busy sender)"),
                 subject=topology.name,
             ))
 

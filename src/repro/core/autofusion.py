@@ -149,8 +149,11 @@ def search_batch_sizes(
        batch than the cheap edges around it.
 
     ``latency_budget`` (seconds) rejects any assignment whose mean
-    added batching delay exceeds it.  Edges carrying an explicit
-    ``Edge.batch`` override are respected and never re-chosen.
+    added batching delay exceeds it; the delay is priced at the
+    sender's utilization (the flush is work-conserving), so a quiet
+    stream admits batches a saturated one could not afford.  Edges
+    carrying an explicit ``Edge.batch`` override are respected and
+    never re-chosen.
     """
     if not grid:
         raise TopologyError("batch-size grid must not be empty")

@@ -237,10 +237,12 @@ class BatchConfig:
     """Mailbox batching of one stream: message size and flush deadline.
 
     ``size`` tuples are packed into one mailbox message before delivery,
-    amortizing the per-message hop cost; a partial batch older than
-    ``flush_timeout`` seconds is delivered anyway so idle or exhausted
-    senders never strand tuples.  ``size=1`` is semantically identical
-    to unbatched delivery (gated by the differential test layer).
+    amortizing the per-message hop cost.  An idle or exhausted sender
+    delivers its partial batch at once (the runtime's flush is
+    work-conserving); ``flush_timeout`` seconds bounds how long a
+    continuously busy sender may hold one.  ``size=1`` is semantically
+    identical to unbatched delivery (gated by the differential test
+    layer).
     """
 
     size: int = 1

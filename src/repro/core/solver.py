@@ -428,7 +428,8 @@ class EdgeBatchLatency:
     source: str
     target: str
     batch_size: int
-    #: Mean seconds a tuple waits for its batch to fill (or flush).
+    #: Mean seconds a tuple waits for its batch to fill (or flush),
+    #: weighted by how busy the sender is (an idle sender flushes).
     added_latency: float
 
 
@@ -484,7 +485,16 @@ def predict_batching(
     delay: on an edge with tuple rate λ the k-th tuple of a batch of
     ``b`` waits for the remaining ``b - k`` arrivals, a mean of
     ``(b - 1) / (2λ)`` seconds, capped by the flush timeout (a partial
-    batch never waits past its deadline).
+    batch never waits past its deadline) — but only while the sender
+    still has input.  The runtime's flush is work-conserving (an actor
+    whose inbox runs dry sends what it buffered; a source does so when
+    the receiver's inbox is dry), so the wait is scaled by the
+    utilization ρ of the sending vertex in the batched solve — for the
+    source's edges, which has no inbox, the receiver's.  That is the
+    full fill wait at saturation (ρ → 1); below it, ρ = λT makes the
+    product ``(b - 1) T / 2`` per replica — the time the sender itself
+    spends on the tuples that join the batch, whatever the rate — and
+    under the deadline cap ``ρ · deadline``, nothing on a quiet stream.
 
     Per-edge ``Edge.batch`` overrides take precedence over the global
     ``batch_size``/``flush_timeout``, mirroring the runtime's wiring.
@@ -545,11 +555,14 @@ def predict_batching(
             continue
         rate = batched.rates[edge.source].departure_rate * edge.probability
         fill_wait = (size - 1) / (2.0 * rate) if rate > 0.0 else deadline
+        busy_vertex = (edge.target if edge.source == topology.source
+                       else edge.source)
+        busy = min(batched.rates[busy_vertex].utilization, 1.0)
         latencies.append(EdgeBatchLatency(
             source=edge.source,
             target=edge.target,
             batch_size=size,
-            added_latency=min(fill_wait, deadline),
+            added_latency=busy * min(fill_wait, deadline),
         ))
     return BatchingPrediction(
         batch_size=batch_size,

@@ -66,19 +66,25 @@ class BatchingTarget(Target):
     One instance belongs to exactly one sending actor (the buffer is
     thread-confined): tuples accumulate until ``size`` is reached, then
     the whole batch travels as one mailbox message, amortizing the
-    per-message hop cost.  The owning actor flushes partial batches
-    older than ``flush_timeout`` from its idle loop and force-flushes on
-    exhaustion/shutdown, so batching never strands tuples (BAS semantics
-    are preserved: the batched put still blocks on a full mailbox).
+    per-message hop cost.  The flush is *work-conserving* — a partial
+    batch never waits while its sender is idle: (1) the owning actor
+    flushes everything whenever its own mailbox is empty, before it
+    blocks; (2) a source, which has no inbox, flushes a partial batch
+    when the *receiver's* mailbox is empty and everything before a
+    paced sleep.  ``flush_timeout`` bounds the wait under a busy sender
+    only, and exhaustion/shutdown force-flush, so batching never strands
+    tuples (BAS holds: the batched put still blocks on a full mailbox).
 
-    ``on_drop`` is invoked with the batch's tuples when the batched put
-    times out, so the sender can account every lost tuple (dead letters
-    and counters) instead of one lost message.
+    ``on_drop(items, reason)`` is invoked with the batch's tuples when
+    the batched put times out (``"mailbox-timeout"``) or the receiver
+    is gone (``"receiver-closed"``), so the sender can account every
+    lost tuple (dead letters and counters) instead of one lost message.
     """
 
     def __init__(self, name: str, mailbox: BoundedMailbox, size: int,
                  flush_timeout: float,
-                 on_drop: Optional[Callable[[Tuple[Any, ...]], None]] = None,
+                 on_drop: Optional[
+                     Callable[[Tuple[Any, ...], str], None]] = None,
                  ) -> None:
         super().__init__(name, mailbox)
         if size < 1:
@@ -119,17 +125,16 @@ class BatchingTarget(Target):
         return (self._first_at is not None
                 and time.monotonic() - self._first_at >= self.flush_timeout)
 
-    def seconds_until_overdue(self) -> Optional[float]:
-        """Time left before the buffered batch must flush; ``None`` if empty."""
-        if self._first_at is None:
-            return None
-        return max(0.0, self._first_at + self.flush_timeout - time.monotonic())
+    def receiver_idle(self) -> bool:
+        """Whether a pending batch is all its receiver could work on."""
+        return bool(self._buffer) and self.mailbox.empty
 
     def flush(self) -> bool:
         """Deliver the buffered tuples as one batch message now.
 
-        Returns ``False`` when the batched put timed out (the tuples
-        were dropped and reported through ``on_drop``); an empty buffer
+        Returns ``False`` when the batched put timed out; a closed
+        receiver raises :class:`MailboxClosed`.  Either way the tuples
+        were dropped and reported through ``on_drop``.  An empty buffer
         flushes trivially to ``True``.
         """
         if not self._buffer:
@@ -138,9 +143,14 @@ class BatchingTarget(Target):
         origin = self._origin or ""
         self._buffer.clear()
         self._first_at = None
-        ok = self.mailbox.put((Batch(items), origin), weight=len(items))
+        try:
+            ok = self.mailbox.put((Batch(items), origin), weight=len(items))
+        except MailboxClosed:
+            if self.on_drop is not None:
+                self.on_drop(items, "receiver-closed")
+            raise
         if not ok and self.on_drop is not None:
-            self.on_drop(items)
+            self.on_drop(items, "mailbox-timeout")
         return ok
 
 
@@ -260,8 +270,8 @@ class ActorBase(threading.Thread):
         self.blocked_on: Optional[str] = None
         #: Downstream :class:`BatchingTarget` endpoints owned by this
         #: actor; populated by the system during wiring.  The run loop
-        #: flushes overdue partial batches from its idle poll and
-        #: force-flushes on shutdown.
+        #: flushes them whenever its own mailbox runs dry, overdue ones
+        #: while busy, and force-flushes on shutdown.
         self.batch_targets: List[BatchingTarget] = []
         #: Origin stamped on outgoing mailbox messages.  Equal to the
         #: vertex except for replicas and emitters, whose per-actor
@@ -279,31 +289,33 @@ class ActorBase(threading.Thread):
         self.migrations = 0
 
     def run(self) -> None:  # pragma: no cover - thread body, exercised E2E
+        batched = bool(self.batch_targets)  # chosen once per thread
+        inbox = self.mailbox
         try:
             self.on_start()
             while True:
                 try:
-                    message = self.mailbox.get(timeout=_IDLE_POLL_SECONDS)
+                    message = inbox.get(timeout=_IDLE_POLL_SECONDS)
                 except TimeoutError:
-                    if self.stop_event.is_set() or self.mailbox.diverted:
+                    if self.stop_event.is_set() or inbox.diverted:
                         break
-                    if self.batch_targets:
-                        self._flush_batches()
                     continue
                 except MailboxClosed:
                     break
                 try:
                     self._dispatch(message)
-                    if self.batch_targets:
-                        self._flush_batches()
+                    if batched:
+                        # Work-conserving: about to block on an empty
+                        # inbox, send what is buffered; a busy actor
+                        # keeps filling up to the flush deadline.
+                        self._flush_batches(force=inbox.empty)
                 except ActorStopped:
                     break
         except MailboxClosed:
             pass
         finally:
             self.blocked_on = None
-            if self.batch_targets:
-                self._flush_batches(force=True)
+            self._flush_batches(force=True)
             self.on_stop()
 
     def _dispatch(self, message: Tuple[Any, str]) -> None:
@@ -402,14 +414,16 @@ class ActorBase(threading.Thread):
                 target.flush()
             target.mailbox.put((barrier, self.origin_name), control=True)
 
-    def _flush_batches(self, force: bool = False) -> None:
-        """Flush overdue (or, with ``force``, all) outgoing batches."""
+    def _flush_batches(self, force: bool = False,
+                       probe: bool = False) -> None:
+        """Flush overdue outgoing batches — with ``force`` all of them,
+        with ``probe`` also those whose receiver sits idle."""
         for target in self.batch_targets:
-            if force or target.overdue():
+            if force or target.overdue() or (probe and target.receiver_idle()):
                 try:
                     target.flush()
                 except MailboxClosed:
-                    pass  # receiver already shut down; tuples lost at exit
+                    pass  # receiver gone; ``on_drop`` accounted the tuples
 
     def on_start(self) -> None:
         """Subclass hook run in the actor thread before the loop."""
@@ -730,7 +744,9 @@ class SourceActor(ActorBase):
                     now = time.perf_counter()
                     delay = next_time - now
                     if delay > 0:
-                        self._paced_sleep(delay)
+                        # An idle source buffers nothing.
+                        self._flush_batches(force=True)
+                        time.sleep(delay)
                 started = time.perf_counter()
                 try:
                     outputs = self.operator.operator_function(sequence)
@@ -764,7 +780,10 @@ class SourceActor(ActorBase):
                         payload["_born"] = born
                 self._emit_outputs(outputs, self.router)
                 if self.batch_targets:
-                    self._flush_batches()
+                    # No inbox to run dry, and ``operator_function`` may
+                    # itself sleep on an external feed: the receiver's
+                    # empty mailbox is the idleness signal there is.
+                    self._flush_batches(probe=True)
                 if interval is not None:
                     # No catch-up bursts after backpressure stalls: the
                     # source resumes at its nominal pace.
@@ -772,34 +791,10 @@ class SourceActor(ActorBase):
         except MailboxClosed:
             pass
         finally:
-            # Final partial-batch flush: an exhausted source (max_items)
-            # must not strand its last, incomplete batch.
-            if self.batch_targets:
-                self._flush_batches(force=True)
+            # An exhausted source (max_items) must not strand its
+            # last, incomplete batch.
+            self._flush_batches(force=True)
             self.operator.on_stop()
-
-    def _paced_sleep(self, delay: float) -> None:
-        """Sleep ``delay`` seconds, waking early to flush overdue batches.
-
-        A slow source pacing below the batch fill rate would otherwise
-        hold partial batches past their flush deadline for a full
-        inter-arrival interval (the idle-source flush-timeout case).
-        """
-        deadline = time.perf_counter() + delay
-        while True:
-            remaining = deadline - time.perf_counter()
-            if remaining <= 0.0:
-                return
-            if not self.batch_targets:
-                time.sleep(remaining)
-                return
-            self._flush_batches()
-            waits = [wait for wait in
-                     (target.seconds_until_overdue()
-                      for target in self.batch_targets)
-                     if wait is not None]
-            cap = min(remaining, max(min(waits), 1e-3)) if waits else remaining
-            time.sleep(cap)
 
 
 class EmitterActor(ActorBase):

@@ -203,5 +203,10 @@ class BoundedMailbox:
             return len(self._queue)
 
     @property
+    def empty(self) -> bool:
+        """Lock-free idleness probe (a deque's truth is atomic under the GIL)."""
+        return not self._queue
+
+    @property
     def closed(self) -> bool:
         return self._closed

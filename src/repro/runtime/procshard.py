@@ -92,7 +92,9 @@ class ProcShardConfig:
     ``channel_batch_size``/``channel_flush_timeout`` size the pickled
     envelopes on cross-shard channels (the dominant cost is per-message
     pickling and pipe syscalls, so channel envelopes default much
-    larger).
+    larger).  Both flush work-conservingly: a sender whose own mailbox
+    is empty sends its partial envelopes at once, so the two timeouts
+    bound the wait only under a continuously busy sender.
     """
 
     shards: int = 2
@@ -313,6 +315,14 @@ class _ChannelConn:
         self._in_flight += weight
         return True
 
+    @property
+    def empty(self) -> bool:
+        """The mailbox idleness probe, answered from the credit window:
+        everything sent has entered the remote mailbox."""
+        if self._in_flight:
+            self._drain_acks(block=False)
+        return self._in_flight == 0
+
     def close(self) -> None:
         self.closed = True
         try:
@@ -325,9 +335,11 @@ class ChannelSender(BatchingTarget):
     """Batched sender side of a cross-shard channel.
 
     Reuses the whole :class:`BatchingTarget` machinery — accumulation,
-    flush deadlines, force-flush on actor exit — with the pipe standing
-    in for the receiving mailbox, so one pickled ``Batch`` envelope
-    amortizes serialization over ``channel_batch_size`` tuples.
+    the work-conserving flush of an idle owner, the deadline of a busy
+    one, force-flush on actor exit — with the pipe standing in for the
+    receiving mailbox, so one pickled ``Batch`` envelope amortizes
+    serialization over ``channel_batch_size`` tuples at saturation and
+    a lone tuple crosses at once on a quiet stream.
 
     It is also *mailbox-shaped* (:meth:`put`): an
     :class:`~repro.runtime.actors.EmitterActor` addresses its replicas

@@ -106,8 +106,9 @@ class RuntimeConfig:
     partition_heuristic: str = "greedy"
     seed: int = 1
     #: Default mailbox batching for every edge: tuples per batched
-    #: message (1 = unbatched) and the deadline before a partial batch
-    #: flushes anyway.  ``Edge.batch`` overrides both per edge.
+    #: message (1 = unbatched) and the deadline before a busy sender's
+    #: partial batch flushes anyway (an idle sender flushes at once).
+    #: ``Edge.batch`` overrides both per edge.
     batch_size: int = 1
     batch_flush_timeout: float = 0.05
     #: How fused sub-graphs execute: ``"meta"`` runs the Algorithm 4
@@ -466,17 +467,16 @@ class ActorSystem:
             vertex = owner.vertex
             dead_letters = self.context.dead_letters
 
-            def on_drop(items: Sequence[object]) -> None:
+            def on_drop(items: Sequence[object], reason: str) -> None:
                 # Runs on the owning actor's thread (flush is only ever
                 # called there), so single-writer counters hold.  The
                 # tuples were pre-counted as emitted when buffered;
                 # reclassify them as dropped now that the batched put
-                # timed out.
+                # timed out or found the receiver closed.
                 counters.emitted -= len(items)
                 counters.dropped += len(items)
                 for item in items:
-                    dead_letters.record(vertex, unwrap(item),
-                                        "mailbox-timeout")
+                    dead_letters.record(vertex, unwrap(item), reason)
 
         return BatchingTarget(entry.name, entry.mailbox, size,
                               flush_timeout, on_drop=on_drop)

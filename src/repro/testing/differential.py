@@ -75,7 +75,6 @@ class DifferentialConfig:
     mailbox_capacity: int = 32
     #: Batched-side configuration of the batching differentials.
     batch_size: int = 4
-    batch_flush_timeout: float = 0.02
     #: Member-chain length bounds of the random testbeds.
     min_members: int = 2
     max_members: int = 4
@@ -342,7 +341,6 @@ def _shrink_chain(seed: int, topology: Topology, members: Sequence[str],
     quiet = DifferentialConfig(
         items=config.items, mailbox_capacity=config.mailbox_capacity,
         batch_size=config.batch_size,
-        batch_flush_timeout=config.batch_flush_timeout,
         quiet_period=config.quiet_period,
         quiet_timeout=config.quiet_timeout,
         shrink_failures=False,
@@ -441,7 +439,6 @@ def check_sharded_seed(seed: int,
         max_items=config.items,
         seed=seed,
         batch_size=config.batch_size,
-        batch_flush_timeout=config.batch_flush_timeout,
         drain_timeout=config.quiet_timeout,
     )
     system = ProcShardSystem.build(topology, factories, config=proc_config,
@@ -474,8 +471,15 @@ def check_sharded_seed(seed: int,
 def check_batching_seed(seed: int,
                         config: Optional[DifferentialConfig] = None,
                         batch_size: Optional[int] = None,
+                        source_rate: Optional[float] = None,
                         ) -> DifferentialReport:
-    """Unbatched vs batched mailboxes on one seeded (unfused) chain."""
+    """Unbatched vs batched mailboxes on one seeded (unfused) chain.
+
+    Closed loop (the default) almost every flush is a full one; a paced
+    ``source_rate`` on the batched side makes nearly every batch leave
+    partial (the work-conserving flush of an idle sender), which must
+    produce the same bytes.
+    """
     config = config or DifferentialConfig()
     if batch_size is None:
         batch_size = config.batch_size
@@ -484,11 +488,12 @@ def check_batching_seed(seed: int,
     def diverges(candidate: Topology) -> bool:
         try:
             return bool(_batching_divergences(seed, candidate, config,
-                                              batch_size))
+                                              batch_size, source_rate))
         except Exception:
             return False
 
-    divergences = _batching_divergences(seed, topology, config, batch_size)
+    divergences = _batching_divergences(seed, topology, config, batch_size,
+                                        source_rate)
     shrunk: Optional[ShrinkResult] = None
     if divergences and config.shrink_failures:
         shrunk = shrink(topology, diverges)
@@ -500,12 +505,13 @@ def check_batching_seed(seed: int,
 
 def _batching_divergences(seed: int, topology: Topology,
                           config: DifferentialConfig,
-                          batch_size: int) -> List[str]:
+                          batch_size: int,
+                          source_rate: Optional[float] = None) -> List[str]:
     base = run_capture(topology, _runtime(config, seed), config=config)
     batched = run_capture(
         topology,
         _runtime(config, seed, batch_size=batch_size,
-                 batch_flush_timeout=config.batch_flush_timeout),
+                 source_rate=source_rate),
         config=config,
     )
     return _compare(seed, "unbatched", f"batch={batch_size}", base, batched)
@@ -598,8 +604,7 @@ def _recovery_divergences(seed: int, topology: Topology,
     factories = topology_factories(topology)
     overrides: Dict[str, Any] = {"fusion_mode": fusion_mode}
     if batch_size > 1:
-        overrides.update(batch_size=batch_size,
-                         batch_flush_timeout=config.batch_flush_timeout)
+        overrides["batch_size"] = batch_size
     baseline = run_capture(
         result.fused, _runtime(config, seed, **overrides),
         fusion_plans=plans, factories=factories, config=config,

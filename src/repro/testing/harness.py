@@ -95,7 +95,6 @@ class ConformanceConfig:
     #: the same steady-state tolerances must hold at any batch size —
     #: parametrizing conformance over this gates batched runs tier-1.
     runtime_batch_size: int = 1
-    runtime_batch_flush_timeout: float = 0.02
     runtime_tolerances: Tolerances = field(default_factory=lambda: Tolerances(
         departure_rel=0.10, throughput_rel=0.10, min_items=200.0))
     #: Fault sampling rates of the degraded-mode (chaos) checks.
@@ -377,7 +376,6 @@ def check_runtime_seed(
         source_rate=topology.operator(topology.source).service_rate,
         seed=seed,
         batch_size=config.runtime_batch_size,
-        batch_flush_timeout=config.runtime_batch_flush_timeout,
     )
     result = run_topology(
         topology, factories,
@@ -460,7 +458,6 @@ def check_process_seed(
         source_rate=topology.operator(topology.source).service_rate,
         seed=seed,
         batch_size=config.runtime_batch_size,
-        batch_flush_timeout=config.runtime_batch_flush_timeout,
     )
     result = run_sharded(
         topology, factories,

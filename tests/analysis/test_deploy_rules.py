@@ -312,6 +312,11 @@ class TestPlanRules:
     def test_ss313_edge_flush_beyond_budget(self):
         report = lint_topology(_fixture("ss313_trigger.xml"), plan=True)
         assert report.has("SS313")
+        # The deadline is the busy-sender worst case: the flush is
+        # work-conserving, a quiet stream strands nothing.
+        (finding,) = [d for d in report.diagnostics if d.rule == "SS313"]
+        assert "continuously busy" in finding.message
+        assert "quiet stream" not in finding.message
         clean = lint_topology(_fixture("ss313_clean.xml"), plan=True)
         assert not clean.has("SS313")
 
@@ -320,6 +325,8 @@ class TestPlanRules:
         runtime = RuntimeConfig(batch_size=8, batch_flush_timeout=0.05)
         report = verify_plan(topology, runtime=runtime)
         assert report.has("SS313")
+        assert any("continuously busy sender" in d.message
+                   for d in report.diagnostics if d.rule == "SS313")
         assert not verify_plan(topology).has("SS313")
 
     def test_ss313_needs_a_declared_budget(self):

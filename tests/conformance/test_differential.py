@@ -4,7 +4,9 @@ Property tests over seeded random chain testbeds
 (:mod:`repro.testing.differential`): for every seed, the loop-compiled
 execution of a fused chain must produce byte-identical sink outputs to
 the meta-actor execution, and batched mailboxes must produce
-byte-identical outputs to unbatched ones.  Twenty seeds gate tier-1 —
+byte-identical outputs to unbatched ones — closed loop, where batches
+leave full, and paced, where the work-conserving flush sends nearly
+every one partial.  Twenty seeds gate tier-1 —
 fourteen fault-free plus six under deterministic poison-fault chaos
 plans (chaos targeting non-member vertices, where loop compilation
 stays eligible).
@@ -64,6 +66,13 @@ class TestBatchingDifferential:
         report = check_batching_seed(seed, FAST)
         assert report.ok, report.summary
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_paced_batched_run_bit_equal(self, seed):
+        # 200 items at 1000/s: every actor idles between arrivals, so
+        # partial flushes dominate the batched side.
+        report = check_batching_seed(seed, FAST, source_rate=1000.0)
+        assert report.ok, report.summary
+
     def test_batch_size_one_is_unbatched(self):
         # Degenerate batching must be *exactly* the unbatched runtime.
         report = check_batching_seed(3, FAST, batch_size=1)
@@ -88,8 +97,7 @@ class TestBatchingDifferential:
                                factories=factories, config=FAST)
 
         plain = capture()
-        both = capture(fusion_mode="loop", batch_size=8,
-                       batch_flush_timeout=0.02)
+        both = capture(fusion_mode="loop", batch_size=8)
         assert plain == both
         assert plain  # at least one sink captured
 

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import faulthandler
+import os
+
 import pytest
 
 from repro.core.graph import Edge, KeyDistribution, OperatorSpec, StateKind, Topology
@@ -26,6 +29,36 @@ def pytest_addoption(parser: pytest.Parser) -> None:
              "seconds; tier-1 keeps a 2-seed smoke, nightly CI runs "
              "the full 20-seed property suite)",
     )
+
+
+#: Hard per-test deadline in seconds (ROADMAP 1c).  The slowest tier-1
+#: test takes about 20 s on a 2-core host; a test still running after
+#: this long is a BAS or flush deadlock, not a slow test.
+TEST_DEADLINE_SECONDS = 300.0
+_DEADLINE_STDERR = pytest.StashKey[int]()
+
+
+def pytest_configure(config: pytest.Config) -> None:
+    # Output capture is suspended while this hook runs, so this is the
+    # terminal's stderr — a hung test's stacks must not die with a
+    # capture file when the process exits.
+    config.stash[_DEADLINE_STDERR] = os.dup(2)
+
+
+@pytest.fixture(autouse=True)
+def hard_deadline(request: pytest.FixtureRequest):
+    """Fail a hung test in bounded time, with every thread's stack.
+
+    A mistake in an actor's blocking loop is a hang, and a hang used to
+    be a CI job timing out silently.  ``faulthandler`` arms a watchdog
+    thread outside the interpreter loop: past the deadline it dumps all
+    thread stacks and exits the process (exit status 1).
+    """
+    faulthandler.dump_traceback_later(
+        TEST_DEADLINE_SECONDS, exit=True,
+        file=request.config.stash[_DEADLINE_STDERR])
+    yield
+    faulthandler.cancel_dump_traceback_later()
 
 
 @pytest.fixture(scope="session")

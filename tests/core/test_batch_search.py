@@ -78,6 +78,22 @@ class TestGridSweep:
         assert bounded.prediction.mean_added_latency <= budget
         assert bounded.global_size < unbounded.global_size
 
+    def test_quiet_stream_admits_batches_a_busy_one_cannot_afford(self):
+        # 16 tuples at 50/s never fill inside any sane budget, but a
+        # work-conserving flush does not wait for them: at 1 % sender
+        # utilization the batch is nearly free and the budget admits it.
+        budget = 5e-3
+        quiet = search_batch_sizes(hop_chain(), hop_overhead=5e-4,
+                                   grid=(16,), source_rate=50.0,
+                                   latency_budget=budget)
+        assert quiet.global_size == 16
+        assert quiet.prediction.mean_added_latency <= budget
+        # Closed loop the senders are saturated and the same batch pays
+        # its whole fill wait.
+        with pytest.raises(TopologyError, match="latency budget"):
+            search_batch_sizes(hop_chain(), hop_overhead=5e-4, grid=(16,),
+                               latency_budget=budget / 10)
+
     def test_impossible_budget_rejected(self):
         with pytest.raises(TopologyError, match="latency budget"):
             search_batch_sizes(hop_chain(), hop_overhead=5e-4,

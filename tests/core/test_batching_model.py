@@ -3,7 +3,9 @@
 The model claims: packing ``b`` tuples per message amortizes the
 per-message hop overhead to ``h/b`` per tuple (throughput up), while
 each batched edge adds a mean fill wait of ``(b-1)/(2λ)`` capped by the
-flush timeout (latency up).  These tests pin the monotonicity, the
+flush timeout and scaled by the sender's utilization — the runtime's
+flush is work-conserving, so an idle sender holds nothing back (latency
+up, but only under load).  These tests pin the monotonicity, the
 degenerate cases and the agreement between the solver's derating and
 the simulator's :meth:`SimulationConfig.effective_service_time`.
 """
@@ -75,6 +77,60 @@ class TestPredictBatching:
         # the steady-state throughput.
         assert entry.added_latency == pytest.approx(
             3.0 / (2.0 * prediction.throughput), rel=1e-6)
+
+    def test_saturated_sender_pays_the_whole_fill_wait(self):
+        # Closed loop: map and sink both run at utilization 1, so the
+        # work-conserving scaling changes nothing on either edge.
+        prediction = predict_batching(_chain(), batch_size=8,
+                                      hop_overhead=HOP, flush_timeout=100.0)
+        for entry in prediction.edge_latencies:
+            assert entry.added_latency == pytest.approx(
+                7.0 / (2.0 * prediction.throughput), rel=1e-6)
+
+    def test_quiet_stream_waits_in_proportion_to_sender_utilization(self):
+        rate = 100.0  # far below every capacity: nobody is ever busy long
+        prediction = predict_batching(_chain(), batch_size=8,
+                                      hop_overhead=HOP, flush_timeout=100.0,
+                                      source_rate=rate)
+        waits = {(e.source, e.target): e.added_latency
+                 for e in prediction.edge_latencies}
+        fill = 7.0 / (2.0 * rate)
+        busy_map = rate * (0.0004 + HOP / 8)
+        # source -> map is priced by the receiver (a source has no inbox
+        # to run dry), map -> sink by the sender; both are map here.
+        assert waits[("source", "map")] == pytest.approx(busy_map * fill)
+        assert waits[("map", "sink")] == pytest.approx(busy_map * fill)
+        assert max(waits.values()) < 0.05 * fill
+
+    def test_uncapped_wait_is_the_senders_time_on_the_rest_of_the_batch(self):
+        # rho * (b-1)/(2 lambda) = (b-1) * T_eff / 2 whatever the rate: a
+        # tuple waits while its sender serves the tuples that join it.
+        service = 0.0004 + HOP / 8
+        for rate in (50.0, 500.0):
+            prediction = predict_batching(
+                _chain(), batch_size=8, hop_overhead=HOP,
+                flush_timeout=100.0, source_rate=rate)
+            for entry in prediction.edge_latencies:
+                assert entry.added_latency == pytest.approx(7 * service / 2)
+
+    def test_wait_vanishes_with_the_load(self):
+        # Under the deadline cap the wait is rho * deadline: nothing on
+        # a quiet stream.
+        waits = [predict_batching(_chain(), batch_size=8, hop_overhead=HOP,
+                                  source_rate=rate).mean_added_latency
+                 for rate in (1000.0, 100.0, 10.0, 1.0)]
+        assert waits == sorted(waits, reverse=True)
+        assert waits[-1] < 1e-4
+
+    def test_paced_wait_stays_monotone_in_batch_size_and_capped(self):
+        deadline = 0.02
+        waits = [predict_batching(_chain(), batch_size=b, hop_overhead=HOP,
+                                  flush_timeout=deadline, source_rate=500.0)
+                 for b in (2, 4, 8, 16, 64)]
+        means = [p.mean_added_latency for p in waits]
+        assert means == sorted(means)
+        assert all(entry.added_latency <= deadline
+                   for p in waits for entry in p.edge_latencies)
 
     def test_per_edge_override_beats_global_size(self):
         topology = _chain()

@@ -10,7 +10,10 @@ is detected, reported and reaped — no zombies, no orphaned pipes.
 
 from __future__ import annotations
 
+import multiprocessing
 import os
+import threading
+import time
 
 import pytest
 
@@ -24,9 +27,13 @@ from repro.core.graph import (
 )
 from repro.operators.base import Operator
 from repro.operators.source_sink import CollectingSink, GeneratorSource
+from repro.runtime.actors import EmitterActor, Target
+from repro.runtime.mailbox import Batch, BoundedMailbox
 from repro.runtime.procshard import (
+    ChannelSender,
     ProcShardConfig,
     ProcShardSystem,
+    _ChannelConn,
     run_sharded,
 )
 
@@ -170,6 +177,72 @@ class TestProcessHygiene:
         assert result.failure is None
         with pytest.raises(RuntimeError, match="already started"):
             system.start()
+
+
+class TestWorkConservingChannelFlush:
+    """A channel batch never waits on its timer while its sender idles."""
+
+    #: A flush deadline no test run can reach.
+    NEVER = 3600.0
+
+    def _channel(self, capacity=64):
+        data_recv, data_send = multiprocessing.Pipe(duplex=False)
+        ack_recv, ack_send = multiprocessing.Pipe(duplex=False)
+        return _ChannelConn(data_send, ack_recv, capacity), data_recv, ack_send
+
+    def test_credit_window_answers_the_idleness_probe(self):
+        conn, data_recv, ack_send = self._channel()
+        assert conn.empty
+        conn.put((Batch((1, 2, 3)), "up"), weight=3)
+        assert not conn.empty  # three tuples not yet in the remote mailbox
+        data_recv.recv()
+        ack_send.send(3)
+        assert conn.empty
+
+    def test_idle_emitter_sends_a_one_tuple_channel_batch(self):
+        conn, data_recv, _ = self._channel()
+        sender = ChannelSender("stage", conn, 32, self.NEVER)
+        inbox = BoundedMailbox(8)
+        emitter = EmitterActor("stage.emitter", "stage",
+                               [Target("stage", sender)], inbox,
+                               threading.Event())
+        emitter.batch_targets = [sender]
+        emitter.start()
+        try:
+            inbox.put(("tuple", "source"))
+            assert data_recv.poll(10.0), "the tuple was stranded"
+            _, (payload, origin) = data_recv.recv()
+            assert isinstance(payload, Batch) and payload.items == ("tuple",)
+            assert origin == "source"
+        finally:
+            inbox.close()
+            emitter.join(timeout=10.0)
+        assert not emitter.is_alive()
+
+    def test_paced_stream_crosses_shards_before_any_timer_or_shutdown(self):
+        # 50 tuples/s into channel batches of 1000 with an hour's flush
+        # deadline: only the work-conserving flush can deliver while the
+        # source is still running (shutdown would force-flush anyway).
+        topology = chain_topology(replication=2)
+        config = ProcShardConfig(shards=2, source_rate=50.0,
+                                 channel_batch_size=1000,
+                                 channel_flush_timeout=self.NEVER,
+                                 batch_size=8,
+                                 batch_flush_timeout=self.NEVER)
+        system = ProcShardSystem.build(
+            topology, factories_for(topology), config=config,
+            placement={"source": (0,), "stage": (0, 1), "sink": (1,)})
+        system.start()
+        try:
+            deadline = time.monotonic() + 20.0
+            received = 0
+            while received < 5 and time.monotonic() < deadline:
+                time.sleep(0.05)
+                received = system.snapshot()["sink"].received
+            assert received >= 5, "tuples stranded in partial batches"
+        finally:
+            system.finish(stop=True)
+        assert system.leaked_workers == []
 
 
 class TestPlacementValidation:
