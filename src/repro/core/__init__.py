@@ -9,6 +9,8 @@ This package holds the paper's primary contribution:
   replication (paper Algorithm 2) and the hold-off replica bound;
 * :mod:`repro.core.partitioning` — key partitioning heuristics for
   partitioned-stateful operators;
+* :mod:`repro.core.physical` — the physical plan (actor nodes, links,
+  placement) every runtime backend wires from;
 * :mod:`repro.core.fusion` — operator fusion (paper Algorithm 3);
 * :mod:`repro.core.candidates` — ranked fusion-candidate enumeration;
 * :mod:`repro.core.report` — Table 1/2-style textual reports.

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.core.graph import Edge, OperatorSpec, Topology, TopologyError
@@ -148,10 +147,10 @@ def profile_topology(
         if seed is not None:
             run_config = replace(run_config, seed=seed)
         system = ActorSystem.build(base, factories, config=run_config)
-        result = _run_exhausted(system)
+        window = _run_exhausted(system)
     else:
         system = ActorSystem.build(base, factories, config=config)
-        result = system.run(duration, warmup=warmup)
+        window = system.run(duration, warmup=warmup).measurements.duration
 
     profiles: Dict[str, OperatorProfile] = {}
     for actor in system.actors:
@@ -161,13 +160,11 @@ def profile_topology(
         processed = counters.processed
         mean = counters.mean_service_time()
         gain = counters.emitted / processed if processed else 1.0
-        router = system._routers.get(actor.vertex)
         frequencies: Dict[str, float] = {}
-        if router is not None:
-            total = sum(router.counts.values())
-            if total > 0:
-                frequencies = {name: count / total
-                               for name, count in router.counts.items()}
+        total = sum(actor.router.counts.values())
+        if total > 0:
+            frequencies = {name: count / total
+                           for name, count in actor.router.counts.items()}
         profiles[actor.vertex] = OperatorProfile(
             name=actor.vertex,
             items_processed=processed,
@@ -178,42 +175,30 @@ def profile_topology(
         )
     return ProfileReport(
         topology=topology,
-        duration=result.measurements.duration,
+        duration=window,
         profiles=profiles,
     )
 
 
-def _run_exhausted(system: ActorSystem,
-                   quiet_period: float = 0.25,
-                   quiet_timeout: float = 30.0) -> SimpleNamespace:
-    """Drive a bounded run to exhaustion and quiescence; measure totals.
+def _run_exhausted(system: ActorSystem) -> float:
+    """Drive a bounded run to its end; the seconds the stream took.
 
-    The source stops itself after ``max_items``; the run then ends when
-    the system-wide progress counter stays flat for ``quiet_period``
-    seconds (every in-flight item drained).  The window boundary is the
-    item count, not the clock — the determinism the adaptive replay
-    tests rely on.
+    The source stops itself after ``max_items`` and ``drain`` retires
+    every actor once it has processed all it will ever receive.  The
+    window boundary is the item count, not the clock — the determinism
+    the adaptive replay tests rely on.
     """
     started = time.perf_counter()
     system.start()
-    source = system.source_actor
-    deadline = started + quiet_timeout
-    if source is not None:
-        source.join(timeout=quiet_timeout)
-    last = -1
-    quiet_since = time.perf_counter()
-    while time.perf_counter() < deadline:
-        current = system._progress()
-        now = time.perf_counter()
-        if current != last:
-            last = current
-            quiet_since = now
-        elif now - quiet_since >= quiet_period:
-            break
-        time.sleep(0.02)
-    window = max(time.perf_counter() - started, 1e-9)
-    system.stop()
-    return SimpleNamespace(measurements=SimpleNamespace(duration=window))
+    try:
+        outcome = system.drain()
+        window = max(time.perf_counter() - started, 1e-9)
+    finally:
+        system.stop()
+    if outcome != "completed":
+        raise TopologyError(
+            f"profiling run ended {outcome!r}: {system.failure_reason}")
+    return window
 
 
 class ServiceTimer:

@@ -326,8 +326,8 @@ class RecoveryEvent:
 class RecoveryResult:
     """Outcome of a :func:`run_recoverable` drive.
 
-    ``outcome`` is ``"completed"`` (source exhausted and the system went
-    quiescent), ``"exhausted"`` (more rollbacks than ``max_recoveries``),
+    ``outcome`` is ``"completed"`` (source exhausted and every actor
+    retired), ``"exhausted"`` (more rollbacks than ``max_recoveries``),
     ``"failed"`` (an Escalate or watchdog abort) or ``"timeout"``.
     """
 
@@ -355,44 +355,6 @@ class RecoveryResult:
         return self.session.store.completed
 
 
-def _await_outcome(system: "ActorSystem", source_timeout: float,
-                   quiet_period: float, quiet_timeout: float) -> str:
-    """Poll one system run until completion, recovery request or failure."""
-    poll = 0.01
-    source = system.source_actor
-    deadline = time.monotonic() + source_timeout
-    while True:
-        if system.recovery.is_set():
-            return "recover"
-        if system.failure.is_set():
-            return "failed"
-        if source is None or not source.is_alive():
-            break
-        if time.monotonic() > deadline:
-            return "timeout"
-        time.sleep(poll)
-    # The source drained: wait for downstream quiescence (no progress
-    # for a quiet period), still watching for late crashes.
-    quiet_deadline = time.monotonic() + quiet_timeout
-    last = system._progress()
-    last_change = time.monotonic()
-    while True:
-        if system.recovery.is_set():
-            return "recover"
-        if system.failure.is_set():
-            return "failed"
-        now = time.monotonic()
-        current = system._progress()
-        if current != last:
-            last = current
-            last_change = now
-        elif now - last_change >= quiet_period:
-            return "completed"
-        if now > quiet_deadline:
-            return "timeout"
-        time.sleep(poll)
-
-
 def run_recoverable(
     topology: Topology,
     factories: Mapping[str, Any],
@@ -400,18 +362,18 @@ def run_recoverable(
     fusion_plans: Sequence["FusionPlan"] = (),
     checkpoint: Optional[CheckpointConfig] = None,
     max_recoveries: int = 8,
-    source_timeout: float = 30.0,
-    quiet_period: float = 0.25,
-    quiet_timeout: float = 20.0,
+    timeout: float = 30.0,
 ) -> RecoveryResult:
     """Run a checkpointed topology to completion, rolling back on crashes.
 
     The driver loop: build the system (restoring every actor from the
-    last complete epoch, if any), run until the source drains and the
-    pipeline goes quiescent, and — whenever a crash requests recovery —
-    stop the system, discard epochs newer than the restore target and
-    rebuild.  Returns the *final* system (stopped) so callers can read
-    sink contents, plus the roll-back trail.
+    last complete epoch, if any), :meth:`~repro.runtime.system.
+    ActorSystem.drain` it — the source exhausts and every actor retires
+    in the plan's order, within ``timeout`` seconds per attempt — and,
+    whenever a crash requests recovery instead, stop the system,
+    discard epochs newer than the restore target and rebuild.  Returns
+    the *final* system (stopped) so callers can read sink contents,
+    plus the roll-back trail.
 
     ``checkpoint`` overrides ``runtime.checkpoint`` which overrides
     ``topology.checkpoint``; one of them must be set.
@@ -468,8 +430,7 @@ def run_recoverable(
                     f"restoring: {error}") from error
             continue
         system.start()
-        outcome = _await_outcome(system, source_timeout, quiet_period,
-                                 quiet_timeout)
+        outcome = system.drain(timeout)
         leaked = system.stop()
         if outcome != "recover":
             return RecoveryResult(

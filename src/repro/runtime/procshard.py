@@ -11,40 +11,40 @@ on real hardware.  This module executes the same topology across
   :func:`repro.codegen.deployment.shard_placement` from the solver's
   utilization numbers — hot operators get their own shard, cheap glue
   stays co-located with the driver on shard 0);
-* inside a shard the existing actor classes run unchanged (threads,
-  bounded blocking mailboxes, BAS semantics);
-* every physical edge crossing a shard boundary becomes an SPSC channel
-  over a ``multiprocessing`` pipe.  The sending actor's side is a
-  :class:`ChannelSender` — a :class:`~repro.runtime.actors.
+* the driver builds the one :class:`~repro.core.physical.PhysicalPlan`
+  under that placement and a worker is an
+  :class:`~repro.runtime.system.ActorSystem` wired over its shard's
+  nodes — the same actors, supervision, dead letters and drop
+  accounting as the threaded backend, by the same code;
+* every link of the plan crossing a shard boundary becomes an SPSC
+  channel over a ``multiprocessing`` pipe.  The sending actor's side is
+  a :class:`ChannelSender` — a :class:`~repro.runtime.actors.
   BatchingTarget` whose "mailbox" writes to the pipe — so PR 6's
   ``Batch`` envelopes amortize pickling exactly like they amortize
   mailbox hops; the receiving side is a reader thread feeding the local
-  entry mailbox (OS pipe buffer + blocking mailbox put = cross-process
+  mailbox (OS pipe buffer + blocking mailbox put = cross-process
   backpressure);
-* key-hash routing reuses :func:`repro.core.partitioning.
-  key_partitioning`: the driver computes one partition plan per
-  partitioned vertex and every worker routes with the same
-  process-stable assignment (crc32 fallback, never the salted builtin
-  ``hash``).
+* key-hash routing reads the plan's key assignments, so every worker
+  routes with the same process-stable assignment (crc32 fallback, never
+  the salted builtin ``hash``).
 
 Shutdown is *graceful and topological*, so sharded runs are lossless:
-when a physical node's senders have all retired, a per-shard reaper
-closes its mailbox, joins the actor (which drains and force-flushes its
-outgoing batch buffers), then emits an EOS marker on each outgoing
-channel — the retire wave crosses shard boundaries through the
-channels themselves, no global coordinator polling required.  A worker
-that crashes mid-run surfaces as EOF on its channels (readers treat it
-as EOS and flag the channel), and the driver terminates and reaps every
+each worker ``drain``s its system in the plan's global order — a node
+fed from other shards first waits for their EOS markers, and every node
+that has flushed and exited relays EOS on its outgoing channels — so
+the retire wave crosses shard boundaries through the channels
+themselves, no global coordinator polling required.  A worker that
+crashes mid-run surfaces as EOF on its channels (readers treat it as
+EOS and flag the channel), and the driver terminates and reaps every
 straggler so no zombie processes or orphaned pipes outlive a run.
 """
 
 from __future__ import annotations
 
 import multiprocessing
-import os
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Callable,
@@ -56,19 +56,10 @@ from typing import (
     Tuple,
 )
 
-from repro.core.graph import StateKind, Topology, TopologyError
-from repro.core.partitioning import key_partitioning
-from repro.operators.base import Operator, instantiate_operator
-from repro.runtime.actors import (
-    ActorBase,
-    BatchingTarget,
-    CollectorActor,
-    EmitterActor,
-    OperatorActor,
-    Router,
-    SourceActor,
-    Target,
-)
+from repro.core.graph import Topology, TopologyError
+from repro.core.physical import PhysicalPlan, build_plan
+from repro.operators.base import Operator
+from repro.runtime.actors import BatchingTarget
 from repro.runtime.mailbox import Batch, BoundedMailbox, MailboxClosed
 from repro.runtime.metrics import (
     ActorCounters,
@@ -77,8 +68,7 @@ from repro.runtime.metrics import (
     RuntimeMeasurements,
     rates_between,
 )
-from repro.runtime.supervision import ActorContext, SupervisorStrategy
-from repro.runtime.system import _stable_hash
+from repro.runtime.system import ActorSystem, RuntimeConfig
 
 OperatorFactory = Callable[[], Operator]
 
@@ -117,10 +107,8 @@ class ProcShardConfig:
     #: tuples blocks, making a channel behave like a bounded mailbox.
     channel_capacity: int = 64
     utilization_threshold: Optional[float] = None
-    #: Seconds a retiring actor may take to drain once its senders are
-    #: done (per actor, enforced by the shard reaper).
-    join_timeout: float = 10.0
-    #: Driver-side deadline for the whole shutdown cascade.
+    #: Deadline of the whole shutdown cascade: a worker's ``drain``,
+    #: and the driver's wait for its report.
     drain_timeout: float = 60.0
     #: Escape hatch for the SS3xx deployment-safety gates: ``True``
     #: builds even when the static analyzer proves an operator unsafe
@@ -142,122 +130,6 @@ class ProcShardConfig:
             raise TopologyError(
                 f"channel flush timeout must be positive, "
                 f"got {self.channel_flush_timeout}")
-
-
-# ----------------------------------------------------------------------
-# physical plan: topology vertices -> per-shard actor nodes
-
-
-@dataclass(frozen=True)
-class _Node:
-    """One actor of the physical plan (its id is the actor name)."""
-
-    node_id: str
-    kind: str  # "source" | "single" | "emitter" | "replica" | "collector"
-    vertex: str
-    shard: int
-    replica: int = 0
-
-
-@dataclass(frozen=True)
-class _Link:
-    """One physical edge between two nodes (SPSC: one sending actor)."""
-
-    sender: str
-    receiver: str
-    kind: str  # "route" | "scatter" | "gather"
-    probability: float = 1.0
-    channel: Optional[int] = None
-    batch_size: int = 1
-    flush_timeout: float = 0.05
-
-
-class _PhysicalPlan:
-    """The logical->physical mapping shared by driver and workers."""
-
-    def __init__(self) -> None:
-        self.nodes: Dict[str, _Node] = {}
-        self.order: List[str] = []
-        self.links: List[_Link] = []
-        self.links_from: Dict[str, List[_Link]] = {}
-        self.links_to: Dict[str, List[_Link]] = {}
-        #: node -> retire dependencies: ("node", id) or ("chan", cid)
-        self.deps: Dict[str, List[Tuple[str, Any]]] = {}
-        self.channel_count = 0
-        #: vertex -> key->replica assignment (partitioned vertices only)
-        self.key_assignments: Dict[str, Mapping[str, int]] = {}
-
-    def add_node(self, node: _Node) -> None:
-        self.nodes[node.node_id] = node
-        self.order.append(node.node_id)
-        self.links_from[node.node_id] = []
-        self.links_to[node.node_id] = []
-        self.deps[node.node_id] = []
-
-    def add_link(self, sender: str, receiver: str, kind: str,
-                 probability: float = 1.0, batch_size: int = 1,
-                 flush_timeout: float = 0.05) -> None:
-        channel: Optional[int] = None
-        if self.nodes[sender].shard != self.nodes[receiver].shard:
-            channel = self.channel_count
-            self.channel_count += 1
-        link = _Link(sender=sender, receiver=receiver, kind=kind,
-                     probability=probability, channel=channel,
-                     batch_size=batch_size, flush_timeout=flush_timeout)
-        self.links.append(link)
-        self.links_from[sender].append(link)
-        self.links_to[receiver].append(link)
-        self.deps[receiver].append(
-            ("chan", channel) if channel is not None else ("node", sender))
-
-    def shard_nodes(self, shard: int) -> List[str]:
-        return [nid for nid in self.order if self.nodes[nid].shard == shard]
-
-
-def _build_plan(topology: Topology, placement: Mapping[str, Tuple[int, ...]],
-                config: ProcShardConfig) -> _PhysicalPlan:
-    plan = _PhysicalPlan()
-    entry: Dict[str, str] = {}
-    exits: Dict[str, str] = {}
-    for spec in topology.operators:
-        name = spec.name
-        shards = tuple(placement[name])
-        home = shards[0]
-        if name == topology.source:
-            plan.add_node(_Node(name, "source", name, home))
-            entry[name] = exits[name] = name
-        elif spec.replication > 1:
-            emitter = f"{name}.emitter"
-            collector = f"{name}.collector"
-            plan.add_node(_Node(emitter, "emitter", name, home))
-            for index, shard in enumerate(shards):
-                plan.add_node(_Node(f"{name}#{index}", "replica", name,
-                                    shard, replica=index))
-            plan.add_node(_Node(collector, "collector", name, home))
-            for index in range(spec.replication):
-                plan.add_link(emitter, f"{name}#{index}", "scatter")
-                plan.add_link(f"{name}#{index}", collector, "gather")
-            entry[name] = emitter
-            exits[name] = collector
-            if spec.state is StateKind.PARTITIONED:
-                assert spec.keys is not None  # enforced by OperatorSpec
-                _, _, partition = key_partitioning(
-                    spec.keys, spec.replication,
-                    heuristic=config.partition_heuristic)
-                plan.key_assignments[name] = dict(partition.assignment)
-        else:
-            plan.add_node(_Node(name, "single", name, home))
-            entry[name] = exits[name] = name
-    for spec in topology.operators:
-        for edge in topology.out_edges(spec.name):
-            if edge.batch is not None:
-                size, flush = edge.batch.size, edge.batch.flush_timeout
-            else:
-                size, flush = config.batch_size, config.batch_flush_timeout
-            plan.add_link(exits[edge.source], entry[edge.target], "route",
-                          probability=edge.probability, batch_size=size,
-                          flush_timeout=flush)
-    return plan
 
 
 # ----------------------------------------------------------------------
@@ -404,255 +276,108 @@ def _read_channel(conn: Any, ack_conn: Any, mailbox: BoundedMailbox,
 
 
 class _ShardWorker:
-    """Everything one worker process runs: actors, readers, reaper."""
+    """What one worker process runs: an :class:`ActorSystem` over its
+    shard of the plan, plus the channel ends that tie it to the rest."""
 
-    def __init__(self, shard: int, plan: _PhysicalPlan, topology: Topology,
-                 make_operator: Callable[[str], Operator],
+    def __init__(self, shard: int, plan: PhysicalPlan, topology: Topology,
+                 factories: Mapping[str, OperatorFactory],
                  config: ProcShardConfig,
                  channel_conns: Mapping[int, Tuple[Any, ...]]) -> None:
         self.shard = shard
-        self.plan = plan
-        self.topology = topology
         self.config = config
-        self.context = ActorContext()
-        self.supervisor = SupervisorStrategy()
-        #: Stops only the source (graceful drain follows the topology).
-        self.source_stop = threading.Event()
-        #: Force-stop for every other actor (abnormal shutdown only).
-        self.abort = threading.Event()
         self.error: Optional[str] = None
         self.crashed_channels: List[int] = []
         self.leaked_actors: List[str] = []
-
-        self.local_nodes = plan.shard_nodes(shard)
-        local = set(self.local_nodes)
-        self.mailboxes: Dict[str, BoundedMailbox] = {}
-        self.actors: Dict[str, ActorBase] = {}
-        self.exited: Dict[str, threading.Event] = {
-            nid: threading.Event() for nid in self.local_nodes}
+        # No stall watchdog per shard: actors blocked on a channel wait
+        # for another process, which local counters cannot tell from a
+        # deadlock.  Batching and partitioning came with the plan.
+        self.system = ActorSystem(topology, RuntimeConfig(
+            mailbox_capacity=config.mailbox_capacity,
+            put_timeout=config.put_timeout,
+            source_rate=config.source_rate,
+            max_items=config.max_items,
+            seed=config.seed,
+            watchdog=False,
+        ))
         self.chan_eos: Dict[int, threading.Event] = {}
         self.chan_state: Dict[int, Dict[str, Any]] = {}
-        self.senders: Dict[int, ChannelSender] = {}
         self.send_conns: Dict[int, Any] = {}
         self.readers: List[threading.Thread] = []
-        self.reaper = threading.Thread(
-            target=self._reap, name=f"shard{shard}-reaper", daemon=True)
 
-        for nid in self.local_nodes:
-            if plan.nodes[nid].kind != "source":
-                self.mailboxes[nid] = BoundedMailbox(
-                    config.mailbox_capacity, put_timeout=config.put_timeout)
-
-        # Sender sides of outgoing channels, reader threads for inbound.
-        for link in plan.links:
-            if link.channel is None:
-                continue
-            data_recv, data_send, ack_recv, ack_send = (
-                channel_conns[link.channel])
-            if link.sender in local:
-                vertex = plan.nodes[link.receiver].vertex
+        # Sender sides of outgoing channels first: wiring hands them to
+        # the actors that own them.
+        crossing = [link for link in plan.links if link.channel is not None]
+        senders: Dict[int, ChannelSender] = {}
+        for link in crossing:
+            if plan.nodes[link.sender].shard == shard:
+                _, data_send, ack_recv, _ = channel_conns[link.channel]
                 self.send_conns[link.channel] = data_send
-                self.senders[link.channel] = ChannelSender(
-                    vertex,
+                senders[link.channel] = ChannelSender(
+                    plan.nodes[link.receiver].vertex,
                     _ChannelConn(data_send, ack_recv,
                                  config.channel_capacity),
                     config.channel_batch_size,
                     config.channel_flush_timeout)
-            if link.receiver in local:
-                event = threading.Event()
-                state: Dict[str, Any] = {"crashed": False}
-                self.chan_eos[link.channel] = event
-                self.chan_state[link.channel] = state
+        self.system.wire(plan, factories, shard=shard, remote=senders)
+        for link in crossing:
+            if plan.nodes[link.receiver].shard == shard:
+                data_recv, _, _, ack_send = channel_conns[link.channel]
+                event = self.chan_eos[link.channel] = threading.Event()
+                state = self.chan_state[link.channel] = {"crashed": False}
                 self.readers.append(threading.Thread(
                     target=_read_channel,
                     args=(data_recv, ack_send,
-                          self.mailboxes[link.receiver], event, state),
+                          self.system.mailboxes[link.receiver], event, state),
                     name=f"shard{shard}-chan{link.channel}", daemon=True))
-
-        for nid in self.local_nodes:
-            self._build_actor(nid, make_operator)
-
-    # -- wiring --------------------------------------------------------
-
-    def _target_for(self, link: _Link) -> Target:
-        """The delivery endpoint of one outgoing physical link."""
-        if link.channel is not None:
-            return self.senders[link.channel]
-        vertex = self.plan.nodes[link.receiver].vertex
-        mailbox = self.mailboxes[link.receiver]
-        if link.kind == "route" and link.batch_size > 1:
-            return BatchingTarget(vertex, mailbox, link.batch_size,
-                                  link.flush_timeout)
-        return Target(vertex, mailbox)
-
-    def _router_for(self, nid: str) -> Tuple[Router, List[BatchingTarget]]:
-        node = self.plan.nodes[nid]
-        router = Router(node.vertex,
-                        seed=self.config.seed + _stable_hash(node.vertex))
-        batched: List[BatchingTarget] = []
-        for link in self.plan.links_from[nid]:
-            target = self._target_for(link)
-            router.add(link.probability, target)
-            if isinstance(target, BatchingTarget):
-                batched.append(target)
-        return router, batched
-
-    def _build_actor(self, nid: str,
-                     make_operator: Callable[[str], Operator]) -> None:
-        node = self.plan.nodes[nid]
-        vertex = node.vertex
-        if node.kind == "source":
-            router, batched = self._router_for(nid)
-            actor: ActorBase = SourceActor(
-                name=vertex,
-                operator=make_operator(vertex),
-                router=router,
-                stop_event=self.source_stop,
-                rate=self.config.source_rate,
-                max_items=self.config.max_items,
-                context=self.context,
-            )
-        elif node.kind == "single":
-            router, batched = self._router_for(nid)
-            factory = (lambda v=vertex: make_operator(v))
-            actor = OperatorActor(
-                name=vertex,
-                vertex=vertex,
-                operator=factory(),
-                router=router,
-                mailbox=self.mailboxes[nid],
-                stop_event=self.abort,
-                operator_factory=factory,
-                policy=self.supervisor.policy_for(vertex),
-                context=self.context,
-            )
-        elif node.kind == "replica":
-            router = Router(nid)
-            batched = []
-            gather = self.plan.links_from[nid][0]
-            target = self._target_for(gather)
-            router.add(1.0, target)
-            if isinstance(target, BatchingTarget):
-                batched.append(target)
-            factory = (lambda v=vertex: make_operator(v))
-            actor = OperatorActor(
-                name=nid,
-                vertex=vertex,
-                operator=factory(),
-                router=router,
-                mailbox=self.mailboxes[nid],
-                stop_event=self.abort,
-                keep_wrapped=True,
-                operator_factory=factory,
-                policy=self.supervisor.policy_for(vertex),
-                context=self.context,
-            )
-        elif node.kind == "emitter":
-            batched = []
-            replicas: List[Target] = []
-            for link in self.plan.links_from[nid]:
-                if link.channel is not None:
-                    sender = self.senders[link.channel]
-                    replicas.append(Target(vertex, sender))
-                    batched.append(sender)
-                else:
-                    replicas.append(
-                        Target(vertex, self.mailboxes[link.receiver]))
-            key_of = None
-            key_assignment = self.plan.key_assignments.get(vertex)
-            if key_assignment is not None:
-                key_of = make_operator(vertex).key_of
-            actor = EmitterActor(
-                name=nid,
-                vertex=vertex,
-                replicas=replicas,
-                mailbox=self.mailboxes[nid],
-                stop_event=self.abort,
-                key_of=key_of,
-                key_assignment=key_assignment,
-                context=self.context,
-            )
-        elif node.kind == "collector":
-            router, batched = self._router_for(nid)
-            actor = CollectorActor(
-                name=nid,
-                vertex=vertex,
-                router=router,
-                mailbox=self.mailboxes[nid],
-                stop_event=self.abort,
-                context=self.context,
-            )
-        else:  # pragma: no cover - plan builder emits only known kinds
-            raise TopologyError(f"unknown physical node kind {node.kind!r}")
-        actor.batch_targets = batched
-        self.actors[nid] = actor
 
     # -- lifecycle -----------------------------------------------------
 
     def start(self) -> None:
         for reader in self.readers:
             reader.start()
-        for nid in self.local_nodes:
-            self.actors[nid].start()
-        self.reaper.start()
+        self.system.start()
 
-    def _wait_dep(self, dep: Tuple[str, Any]) -> bool:
-        kind, key = dep
-        event = (self.exited[key] if kind == "node"
-                 else self.chan_eos[key])
-        while not event.wait(0.2):
-            if self.abort.is_set():
+    def _senders_done(self, node: str, seconds: float) -> bool:
+        """Whether every channel into ``node`` has ended (EOS, or EOF of
+        a dead shard, which is flagged)."""
+        for link in self.system.plan.links_to[node]:
+            if link.channel is None:
+                continue
+            if not self.chan_eos[link.channel].wait(seconds):
                 return False
-        if kind == "chan" and self.chan_state[key]["crashed"]:
-            self.crashed_channels.append(key)
+            if self.chan_state[link.channel]["crashed"]:
+                self.crashed_channels.append(link.channel)
         return True
 
-    def _reap(self) -> None:
-        """Retire local actors in topological order once senders finish.
-
-        The global topological order of the physical plan guarantees a
-        node's mailbox closes only after every sender (local actor or
-        remote shard, via channel EOS) has flushed and exited — the
-        batched, sharded shutdown stays lossless.
-        """
-        for nid in self.local_nodes:
-            node = self.plan.nodes[nid]
-            deps = self.plan.deps[nid]
-            if not all(self._wait_dep(dep) for dep in deps):
-                self.error = f"shard {self.shard}: aborted retiring {nid}"
-                return
-            actor = self.actors[nid]
-            if node.kind != "source":
-                self.mailboxes[nid].close()
-                actor.join(timeout=self.config.join_timeout)
-            else:
-                # The source retires on its own: max_items exhaustion or
-                # the driver's stop command.
-                while actor.is_alive():
-                    actor.join(timeout=0.2)
-                    if self.abort.is_set():
-                        break
-            if actor.is_alive():
-                self.leaked_actors.append(actor.actor_name)
-                self.error = (f"shard {self.shard}: actor "
-                              f"{actor.actor_name!r} wedged during drain")
-                return
-            self.exited[nid].set()
-            for link in self.plan.links_from[nid]:
-                if link.channel is None:
-                    continue
+    def _relay_eos(self, node: str) -> None:
+        """``node`` has flushed and exited: end its outgoing channels."""
+        for link in self.system.plan.links_from[node]:
+            if link.channel is not None:
                 try:
-                    self.send_conns[link.channel].send((_EOS, nid))
+                    self.send_conns[link.channel].send((_EOS, node))
                 except (BrokenPipeError, OSError):
                     pass
 
-    def snapshot(self) -> Dict[str, CounterSnapshot]:
-        return {nid: actor.counters.snapshot()
-                for nid, actor in self.actors.items()}
+    def finish(self) -> Dict[str, Any]:
+        """The shard's part of the shutdown cascade, then its report.
+
+        ``drain`` retires the local actors in the plan's global order;
+        a node fed from other shards waits for their EOS first and each
+        retired node relays EOS onward, so the wave crosses the process
+        boundaries through the channels themselves and a mailbox closes
+        only after every sender, local or remote, has flushed.
+        """
+        outcome = self.system.drain(self.config.drain_timeout,
+                                    self._senders_done, self._relay_eos)
+        if outcome != "completed":
+            self.error = (f"shard {self.shard}: drain {outcome}: "
+                          f"{self.system.failure_reason}")
+        self.leaked_actors = self.system.stop(join_timeout=1.0)
+        return self.report()
 
     def _collect_sinks(self) -> Dict[str, Dict[str, Any]]:
         sinks: Dict[str, Dict[str, Any]] = {}
-        for nid, actor in self.actors.items():
+        for actor in self.system.actors:
             operators: List[Tuple[str, Any]] = []
             operator = getattr(actor, "operator", None)
             if operator is not None:
@@ -672,17 +397,17 @@ class _ShardWorker:
         return sinks
 
     def report(self) -> Dict[str, Any]:
-        mailbox_dropped = sum(m.dropped for m in self.mailboxes.values())
-        mailbox_shed = sum(m.shed for m in self.mailboxes.values())
+        system = self.system
+        mailboxes = system.mailboxes.values()
         return {
             "shard": self.shard,
-            "snapshots": self.snapshot(),
-            "vertices": {nid: self.plan.nodes[nid].vertex
-                         for nid in self.actors},
+            "snapshots": system.snapshot(),
+            "vertices": {actor.actor_name: actor.vertex
+                         for actor in system.actors},
             "sinks": self._collect_sinks(),
-            "mailbox_dropped": mailbox_dropped,
-            "mailbox_shed": mailbox_shed,
-            "dead_letters": self.context.dead_letters.total,
+            "mailbox_dropped": sum(m.dropped for m in mailboxes),
+            "mailbox_shed": sum(m.shed for m in mailboxes),
+            "dead_letters": system.context.dead_letters.total,
             "leaked_actors": list(self.leaked_actors),
             "crashed_channels": sorted(set(self.crashed_channels)),
             "error": self.error,
@@ -690,15 +415,7 @@ class _ShardWorker:
 
     def shutdown(self) -> None:
         """Force everything down (after the report, or on abort)."""
-        self.source_stop.set()
-        self.abort.set()
-        for mailbox in self.mailboxes.values():
-            mailbox.close()
-        for sender in self.senders.values():
-            sender.mailbox.close()
-        for actor in self.actors.values():
-            if actor.is_alive():
-                actor.join(timeout=1.0)
+        self.system.stop(join_timeout=1.0)
         for conn in self.send_conns.values():
             try:
                 conn.close()
@@ -706,7 +423,7 @@ class _ShardWorker:
                 pass
 
 
-def _worker_main(shard: int, plan: _PhysicalPlan, topology: Topology,
+def _worker_main(shard: int, plan: PhysicalPlan, topology: Topology,
                  factories: Mapping[str, OperatorFactory],
                  config: ProcShardConfig,
                  channel_conns: Mapping[int, Tuple[Any, ...]],
@@ -717,30 +434,18 @@ def _worker_main(shard: int, plan: _PhysicalPlan, topology: Topology,
     # peer surfaces as EOF instead of a silently-open orphaned pipe.
     for conn in foreign_controls:
         conn.close()
-    local = {nid for nid in plan.order if plan.nodes[nid].shard == shard}
     for link in plan.links:
         if link.channel is None:
             continue
         data_recv, data_send, ack_recv, ack_send = channel_conns[link.channel]
-        if link.receiver not in local:
+        if plan.nodes[link.receiver].shard != shard:
             data_recv.close()
             ack_send.close()
-        if link.sender not in local:
+        if plan.nodes[link.sender].shard != shard:
             data_send.close()
             ack_recv.close()
 
-    def make_operator(name: str) -> Operator:
-        factory = factories.get(name)
-        if factory is not None:
-            return factory()
-        spec = topology.operator(name) if name in topology else None
-        if spec is not None and spec.operator_class:
-            return instantiate_operator(spec.operator_class,
-                                        spec.operator_args)
-        raise TopologyError(
-            f"no factory nor operator_class for operator {name!r}")
-
-    worker = _ShardWorker(shard, plan, topology, make_operator, config,
+    worker = _ShardWorker(shard, plan, topology, factories, config,
                           channel_conns)
     worker.start()
     try:
@@ -750,16 +455,12 @@ def _worker_main(shard: int, plan: _PhysicalPlan, topology: Topology,
             except (EOFError, OSError):
                 break
             if command == "snapshot":
-                control.send(("snapshot", worker.snapshot()))
+                control.send(("snapshot", worker.system.snapshot()))
             elif command == "stop":
-                worker.source_stop.set()
+                worker.system.source_stop.set()
                 control.send(("stopped", None))
             elif command == "report":
-                worker.reaper.join(timeout=config.drain_timeout)
-                if worker.reaper.is_alive() and worker.error is None:
-                    worker.error = (f"shard {shard}: drain timed out after "
-                                    f"{config.drain_timeout}s")
-                control.send(("report", worker.report()))
+                control.send(("report", worker.finish()))
                 break
     finally:
         worker.shutdown()
@@ -833,7 +534,10 @@ class ProcShardSystem:
         self.config = config
         self.placement = {name: tuple(shards)
                           for name, shards in placement.items()}
-        self.plan = _build_plan(topology, self.placement, config)
+        self.plan = build_plan(
+            topology, self.placement, batch_size=config.batch_size,
+            batch_flush_timeout=config.batch_flush_timeout,
+            partition_heuristic=config.partition_heuristic)
         try:
             self._ctx = multiprocessing.get_context("fork")
         except ValueError as error:  # pragma: no cover - non-POSIX only
@@ -881,26 +585,16 @@ class ProcShardSystem:
                 topology, shards=config.shards,
                 utilization_threshold=config.utilization_threshold,
             ).as_mapping()
-        normalized = {name: tuple(shards)
-                      for name, shards in placement.items()}
-        for spec in topology.operators:
-            shards = normalized.get(spec.name)
-            if shards is None or len(shards) != spec.replication:
-                raise TopologyError(
-                    f"placement for {spec.name!r} must name "
-                    f"{spec.replication} shards (rule SS311)")
-            if any(not 0 <= s < config.shards for s in shards):
-                raise TopologyError(
-                    f"placement for {spec.name!r} uses a shard outside "
-                    f"[0, {config.shards}) (rule SS311)")
-            if len(set(shards)) > 1 and spec.state is StateKind.STATEFUL:
-                raise TopologyError(
-                    f"placement for {spec.name!r} scatters a stateful "
-                    f"operator over shards {sorted(set(shards))} "
-                    "(rule SS312)")
-        if not config.unsafe:
-            from repro.analysis.deploy import deploy_errors
+        from repro.analysis.deploy import deploy_errors, verify_plan
 
+        refused = [d for d in verify_plan(
+            topology, backend="process", placement=placement,
+            shards=config.shards).errors if d.rule in ("SS311", "SS312")]
+        if refused:
+            raise TopologyError(
+                "placement refused: "
+                + "; ".join(d.render() for d in refused[:3]))
+        if not config.unsafe:
             blocking = deploy_errors(topology, ["SS301", "SS305"])
             if blocking:
                 raise TopologyError(
@@ -908,7 +602,7 @@ class ProcShardSystem:
                     "(unsafe=True overrides): "
                     + "; ".join(d.render() for d in blocking[:3])
                 )
-        return cls(topology, factories or {}, config, normalized)
+        return cls(topology, factories or {}, config, placement)
 
     # -- lifecycle -----------------------------------------------------
 

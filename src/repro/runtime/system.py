@@ -1,12 +1,16 @@
 """The actor system: build, run and measure a topology on threads.
 
-``ActorSystem.build`` wires one actor per single-replica operator, an
-emitter + replicas + collector ensemble per parallelized operator
-(Section 4.2 "Generation of parallel operators") and one meta-operator
-actor per fused sub-graph ("Generation with operator fusion").  ``run``
+``ActorSystem.build`` translates the topology into its physical plan
+(:mod:`repro.core.physical`: one node per single-replica operator, an
+emitter + replicas + collector ensemble per parallelized operator —
+Section 4.2 "Generation of parallel operators" — and one node per fused
+sub-graph, "Generation with operator fusion") and ``wire`` builds one
+actor per node of one shard of that plan; a :mod:`repro.runtime.
+procshard` worker is the same class over its own shard.  ``run``
 executes the system for a wall-clock duration, snapshots the counters
 after a warmup period, and returns per-vertex steady-state rates
-comparable one-to-one with the cost-model predictions.
+comparable one-to-one with the cost-model predictions; ``drain`` ends a
+finite job by retiring the actors in the plan's order.
 """
 
 from __future__ import annotations
@@ -14,19 +18,13 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from typing import TYPE_CHECKING
 
 from repro.core.fusion import FusionPlan
-from repro.core.graph import (
-    CheckpointConfig,
-    Edge,
-    StateKind,
-    Topology,
-    TopologyError,
-)
-from repro.core.partitioning import key_partitioning
+from repro.core.graph import CheckpointConfig, Topology, TopologyError
+from repro.core.physical import Link, Node, PhysicalPlan, build_plan
 from repro.core.steady_state import SteadyStateResult
 from repro.operators.base import Operator, instantiate_operator, unwrap
 
@@ -72,27 +70,28 @@ from repro.runtime.supervision import (
 OperatorFactory = Callable[[], Operator]
 
 
+#: How long a lifecycle wait blocks before it looks at the failure,
+#: recovery and abort events again (a join returns at once on exit).
+_WATCH_SECONDS = 0.02
+
+
 @dataclass
 class _Ensemble:
-    """Live-scaling wiring of one elastic vertex.
+    """Live-scaling state of one round-robin ensemble.
 
-    Kept only for vertices built as emitter + replicas + collector so
-    the controller can spawn/retire replicas mid-run: the spawn closure
-    reproduces exactly what ``_defer_parallel`` builds per replica
-    (mailbox, per-replica router into the collector, operator factory
-    with its own fault clock).
+    Kept for vertices wired as emitter + replicas + collector without a
+    key assignment, so ``scale_vertex`` can add and retire replicas
+    behind the emitter mid-run.
     """
 
     vertex: str
     emitter: EmitterActor
-    #: ``spawn(index)`` builds one fresh, unstarted replica.
-    spawn: Callable[[int], "Tuple[Target, OperatorActor]"]
     #: Next fresh replica index (never reused, so actor names and fault
     #: clock keys stay unique across scale up/down cycles).
     next_index: int
-    #: Live replicas in emitter order (target, actor) — the emitter's
-    #: ``replicas`` list is always a projection of this.
-    members: "List[Tuple[Target, OperatorActor]]"
+    #: Live replicas in emitter order — the emitter's ``replicas`` list
+    #: is always a projection of this.
+    members: List[OperatorActor]
 
 
 @dataclass(frozen=True)
@@ -218,21 +217,24 @@ class ActorSystem:
     def __init__(self, topology: Topology, config: RuntimeConfig) -> None:
         self.topology = topology
         self.config = config
+        #: Ends generation only: the graceful stop.  Everything behind
+        #: the source then retires in the plan's order, losslessly.
+        self.source_stop = threading.Event()
+        #: The abort: every other actor leaves its loop once idle.
         self.stop_event = threading.Event()
         self.actors: List[ActorBase] = []
         self.source_actor: Optional[SourceActor] = None
-        self._entries: Dict[str, Target] = {}
-        self._mailboxes: List[BoundedMailbox] = []
-        self._routers: Dict[str, Router] = {}
-        #: The actor whose thread drives each vertex's out-router (the
-        #: collector for parallel vertices) — the owner of any batching
-        #: buffers on those edges.
-        self._router_owners: Dict[str, ActorBase] = {}
+        #: The physical plan ``wire`` built this system's actors from.
+        self.plan = PhysicalPlan()
+        #: The mailbox of every local non-source actor, by node id.
+        self.mailboxes: Dict[str, BoundedMailbox] = {}
+        self._remote: Mapping[int, BatchingTarget] = {}
+        self._factories: Mapping[str, OperatorFactory] = {}
+        self._fusion_plans: Dict[str, FusionPlan] = {}
         #: How each fused vertex actually executes: ``"loop"`` when its
         #: chain was loop-compiled, ``"meta"`` for the meta-actor.
         self.fusion_executions: Dict[str, str] = {}
-        #: Live-scaling wiring per elastic vertex (see :class:`_Ensemble`);
-        #: populated only for vertices built as ensembles.
+        #: Live-scaling state per scalable vertex (see :class:`_Ensemble`).
         self._ensembles: Dict[str, _Ensemble] = {}
         #: Serializes live reconfigurations (controller vs. tests).
         self._reconfig_lock = threading.Lock()
@@ -331,106 +333,65 @@ class ActorSystem:
                     "(unsafe=True overrides): "
                     + "; ".join(d.render() for d in blocking[:3])
                 )
-        plans = {plan.fused_name: plan for plan in fusion_plans}
-
-        def make_operator(name: str) -> Operator:
-            factory = factories.get(name)
-            if factory is not None:
-                return factory()
-            spec = topology.operator(name) if name in topology else None
-            if spec is not None and spec.operator_class:
-                return instantiate_operator(spec.operator_class,
-                                            spec.operator_args)
-            raise TopologyError(
-                f"no factory nor operator_class for operator {name!r}"
-            )
-
-        # Pass 1: create the entry point (mailbox) of every vertex.
-        deferred: List[Callable[[], None]] = []
-        for spec in topology.operators:
-            name = spec.name
-            router = Router(name, seed=config.seed + _stable_hash(name))
-            system._routers[name] = router
-            if name == topology.source:
-                deferred.append(system._defer_source(name, make_operator, router))
-                continue
-            if name in plans:
-                deferred.append(
-                    system._defer_meta(plans[name], factories, make_operator,
-                                       router)
-                )
-                continue
-            if spec.replication > 1 or (config.elastic
-                                        and spec.state is StateKind.STATELESS):
-                deferred.append(
-                    system._defer_parallel(spec.name, make_operator, router)
-                )
-            else:
-                deferred.append(
-                    system._defer_single(spec.name, make_operator, router)
-                )
-        for build_actor in deferred:
-            build_actor()
-
-        # Pass 2: connect the routers now that every entry exists.
-        # Batched edges get a per-sender BatchingTarget wrapping the
-        # shared entry mailbox, so batch buffers stay thread-confined.
-        for spec in topology.operators:
-            router = system._routers[spec.name]
-            owner = system._router_owners.get(spec.name)
-            for edge in topology.out_edges(spec.name):
-                entry = system._entries[edge.target]
-                router.add(edge.probability,
-                           system._edge_target(edge, entry, owner))
-            if owner is not None:
-                owner.batch_targets = [
-                    target for target in router.targets
-                    if isinstance(target, BatchingTarget)
-                ]
+        plan = build_plan(
+            topology, batch_size=config.batch_size,
+            batch_flush_timeout=config.batch_flush_timeout,
+            partition_heuristic=config.partition_heuristic,
+            fused=[fusion.fused_name for fusion in fusion_plans],
+            elastic=config.elastic)
+        system.wire(plan, factories, fusion_plans)
         if session is not None:
             system._wire_checkpoint(session)
         return system
 
-    def _wire_checkpoint(self, session: CheckpointSession) -> None:
-        """Attach every actor to the checkpoint session (after pass 2).
+    def wire(self, plan: PhysicalPlan,
+             factories: Mapping[str, OperatorFactory],
+             fusion_plans: Sequence[FusionPlan] = (), shard: int = 0,
+             remote: Optional[Mapping[int, BatchingTarget]] = None) -> None:
+        """Build one actor per node of ``shard`` of ``plan``.
 
-        Computes each actor's barrier *channels* (origins expected to
-        deliver barriers to its mailbox) and barrier *targets* (where
-        aligned barriers are forwarded), declares the expected actor set
-        to the store, and applies the session's pending epoch restore.
+        ``remote`` maps the channel of every link that leaves the shard
+        to the batching sender standing in for the receiver's mailbox
+        (:class:`repro.runtime.procshard.ChannelSender`); links arriving
+        from other shards are fed into :attr:`mailboxes` by the caller.
         """
-        preds = {name: tuple(self.topology.predecessors(name))
-                 for name in self.topology.names}
+        self.plan = plan
+        self._factories = factories
+        self._fusion_plans = {fusion.fused_name: fusion
+                              for fusion in fusion_plans}
+        self._remote = remote or {}
+        local = plan.shard_nodes(shard)
+        for node in local:
+            if node.kind != "source":
+                self._new_mailbox(node)
+        for node in local:
+            self._build_node(node, plan.links_from[node.node_id])
+
+    def _wire_checkpoint(self, session: CheckpointSession) -> None:
+        """Attach every actor to the checkpoint session (after ``wire``).
+
+        An actor's barrier *channels* are the origins its incoming links
+        stamp (replicas and emitters send under their own actor name so
+        the next hop can align them per channel, everything else under
+        its vertex); its barrier *targets* are its outgoing endpoints.
+        Declares the expected actor set to the store and applies the
+        session's pending epoch restore.
+        """
+        plan = self.plan
+
+        def origin(node: Node) -> str:
+            return (node.node_id if node.kind in ("emitter", "replica")
+                    else node.vertex)
+
         for actor in self.actors:
-            vertex = actor.vertex
-            if isinstance(actor, SourceActor):
-                actor.configure_checkpoint(session, (), actor.router.targets)
-            elif isinstance(actor, EmitterActor):
-                # The emitter broadcasts aligned barriers to every
-                # replica under its own origin so the collector can
-                # re-align them per replica channel.
-                actor.origin_name = actor.actor_name
-                actor.configure_checkpoint(session, preds[vertex],
-                                           actor.replicas)
-            elif isinstance(actor, CollectorActor):
-                replica_names = tuple(
-                    peer.actor_name for peer in self.actors
-                    if peer.vertex == vertex
-                    and isinstance(peer, OperatorActor))
-                actor.configure_checkpoint(session, replica_names,
-                                           actor.router.targets)
-            elif isinstance(actor, OperatorActor) \
-                    and actor.actor_name != vertex:
-                # A replica: barriers come from the emitter only, and
-                # go out under the replica's own origin.
-                actor.origin_name = actor.actor_name
-                actor.configure_checkpoint(session,
-                                           (f"{vertex}.emitter",),
-                                           actor.router.targets)
-            else:
-                # Single, loop-compiled or meta entry actor.
-                actor.configure_checkpoint(session, preds[vertex],
-                                           actor.router.targets)
+            node = plan.nodes[actor.actor_name]
+            actor.origin_name = origin(node)
+            actor.configure_checkpoint(
+                session,
+                [origin(plan.nodes[link.sender])
+                 for link in plan.links_to[node.node_id]],
+                actor.replicas if node.kind == "emitter"
+                else actor.router.targets)
         session.store.set_expected(
             actor.actor_name for actor in self.actors)
         restored = session.restore
@@ -450,49 +411,33 @@ class ActorSystem:
                 wrapped.vertex = actor.vertex
                 raise wrapped from error
 
-    def _edge_target(self, edge: Edge, entry: Target,
-                     owner: Optional[ActorBase]) -> Target:
-        """The delivery endpoint of one edge: batched or direct."""
-        if edge.batch is not None:
-            size = edge.batch.size
-            flush_timeout = edge.batch.flush_timeout
-        else:
-            size = self.config.batch_size
-            flush_timeout = self.config.batch_flush_timeout
-        if size <= 1:
-            return entry
-        on_drop = None
-        if owner is not None:
-            counters = owner.counters
-            vertex = owner.vertex
-            dead_letters = self.context.dead_letters
+    def _make_operator(self, name: str) -> Operator:
+        factory = self._factories.get(name)
+        if factory is not None:
+            return factory()
+        spec = (self.topology.operator(name) if name in self.topology
+                else None)
+        if spec is not None and spec.operator_class:
+            return instantiate_operator(spec.operator_class,
+                                        spec.operator_args)
+        raise TopologyError(
+            f"no factory nor operator_class for operator {name!r}"
+        )
 
-            def on_drop(items: Sequence[object], reason: str) -> None:
-                # Runs on the owning actor's thread (flush is only ever
-                # called there), so single-writer counters hold.  The
-                # tuples were pre-counted as emitted when buffered;
-                # reclassify them as dropped now that the batched put
-                # timed out or found the receiver closed.
-                counters.emitted -= len(items)
-                counters.dropped += len(items)
-                for item in items:
-                    dead_letters.record(vertex, unwrap(item), reason)
-
-        return BatchingTarget(entry.name, entry.mailbox, size,
-                              flush_timeout, on_drop=on_drop)
-
-    def _new_mailbox(self, vertex: Optional[str] = None) -> BoundedMailbox:
+    def _new_mailbox(self, node: Node) -> BoundedMailbox:
         mailbox = BoundedMailbox(self.config.mailbox_capacity,
                                  put_timeout=self.config.put_timeout)
-        if vertex is not None and self.injector is not None:
-            windows = self.injector.schedule(vertex).drop_windows
+        # Injected drop windows count a vertex's arrivals: they sit on
+        # the mailbox its input enters by, not inside an ensemble.
+        if (self.injector is not None
+                and node.kind in ("single", "fused", "emitter")):
+            windows = self.injector.schedule(node.vertex).drop_windows
             if windows:
                 mailbox.set_drop_windows(windows)
-        self._mailboxes.append(mailbox)
+        self.mailboxes[node.node_id] = mailbox
         return mailbox
 
-    def _vertex_factory(self, name: str, make_operator,
-                        clock_key: Optional[str] = None) -> OperatorFactory:
+    def _vertex_factory(self, name: str, clock_key: str) -> OperatorFactory:
         """Zero-argument factory for one actor's operator instances.
 
         When the fault plan touches this vertex, every instance the
@@ -508,226 +453,175 @@ class ActorSystem:
         fires again (otherwise recovery could never progress).
         """
         if self.injector is None:
-            return lambda: make_operator(name)
+            return lambda: self._make_operator(name)
         schedule = self.injector.schedule(name)
         if schedule.empty:
-            return lambda: make_operator(name)
+            return lambda: self._make_operator(name)
         from repro.faults.injector import FaultyOperator, ItemClock
         session = self.checkpoint_session
-        key = clock_key or name
-        if session is not None and key in session.clocks:
-            clock = session.clocks[key]
+        if session is not None and clock_key in session.clocks:
+            clock = session.clocks[clock_key]
         else:
             clock = ItemClock()
             if session is not None:
-                session.clocks[key] = clock
-        return lambda: FaultyOperator(make_operator(name), schedule, clock)
+                session.clocks[clock_key] = clock
+        return lambda: FaultyOperator(self._make_operator(name), schedule,
+                                      clock)
 
-    def _defer_source(self, name: str, make_operator, router: Router):
-        def build() -> None:
-            factory = self._vertex_factory(name, make_operator)
-            actor = SourceActor(
+    def _target_for(self, link: Link) -> Target:
+        """The delivery endpoint of one link: remote, batched or direct."""
+        if link.channel is not None:
+            sender = self._remote[link.channel]
+            # An emitter addresses a replica as ``target.mailbox.put``,
+            # which a channel sender answers by batching.
+            return (Target(sender.name, sender) if link.kind == "scatter"
+                    else sender)
+        name = self.plan.nodes[link.receiver].vertex
+        mailbox = self.mailboxes[link.receiver]
+        if link.kind == "route" and link.batch_size > 1:
+            return BatchingTarget(name, mailbox, link.batch_size,
+                                  link.flush_timeout)
+        return Target(name, mailbox)
+
+    def _register(self, actor: ActorBase, targets: Sequence[Target]) -> None:
+        """Add a built actor; the batch buffers among its endpoints
+        become its own, and what they lose is accounted to it."""
+        counters = actor.counters
+        vertex = actor.vertex
+        dead_letters = self.context.dead_letters
+
+        def on_drop(items: Sequence[object], reason: str) -> None:
+            # Runs on the owning actor's thread (flush is only ever
+            # called there), so single-writer counters hold.  The
+            # tuples were pre-counted as emitted when buffered;
+            # reclassify them as dropped now that the batched put
+            # timed out or found the receiver closed.
+            counters.emitted -= len(items)
+            counters.dropped += len(items)
+            for item in items:
+                dead_letters.record(vertex, unwrap(item), reason)
+
+        for target in targets:
+            buffer = (target if isinstance(target, BatchingTarget)
+                      else target.mailbox)
+            if isinstance(buffer, BatchingTarget):
+                buffer.on_drop = on_drop
+                actor.batch_targets.append(buffer)
+        self.actors.append(actor)
+
+    def _build_node(self, node: Node, links: Sequence[Link]) -> ActorBase:
+        """Build the actor of one plan node sending over ``links`` —
+        the one place either backend constructs an actor."""
+        name, vertex = node.node_id, node.vertex
+        targets = [self._target_for(link) for link in links]
+        common = dict(name=name, mailbox=self.mailboxes.get(name),
+                      stop_event=self.stop_event, context=self.context)
+        # (An emitter picks among its targets itself and has no router.)
+        router = Router(vertex, seed=self.config.seed + _stable_hash(vertex))
+        for link, target in zip(links, targets):
+            router.add(link.probability, target)
+        actor: ActorBase
+        if node.kind == "source":
+            self.source_actor = actor = SourceActor(
                 name=name,
-                operator=factory(),
+                operator=self._vertex_factory(vertex, name)(),
                 router=router,
-                stop_event=self.stop_event,
+                stop_event=self.source_stop,
                 rate=self.config.source_rate,
                 max_items=self.config.max_items,
                 context=self.context,
             )
-            self.actors.append(actor)
-            self.source_actor = actor
-            self._router_owners[name] = actor
-        return build
-
-    def _defer_single(self, name: str, make_operator, router: Router):
-        def build() -> None:
-            mailbox = self._new_mailbox(vertex=name)
-            factory = self._vertex_factory(name, make_operator)
+        elif node.kind == "emitter":
+            assignment = self.plan.key_assignments.get(vertex)
+            actor = EmitterActor(
+                vertex=vertex,
+                replicas=targets,
+                key_of=(None if assignment is None
+                        else self._make_operator(vertex).key_of),
+                key_assignment=assignment,
+                **common,
+            )
+            if assignment is None:
+                # Round-robin ensembles can live-scale; a fixed
+                # key-to-replica assignment cannot be resized without
+                # re-partitioning state, so partitioned ones stay static.
+                self._ensembles[vertex] = _Ensemble(
+                    vertex, actor, next_index=len(links), members=[])
+        elif node.kind == "collector":
+            actor = CollectorActor(vertex=vertex, router=router, **common)
+        elif node.kind == "fused":
+            fusion = self._fusion_plans[vertex]
+            member_factories = {member: self._vertex_factory(member, member)
+                                for member in fusion.members}
+            members = {member: factory()
+                       for member, factory in member_factories.items()}
+            loop = self._loop_operator(fusion, members)
+            if loop is not None:
+                actor = OperatorActor(
+                    vertex=vertex, operator=loop, router=router,
+                    policy=self.supervisor.policy_for(vertex), **common)
+            else:
+                actor = MetaOperatorActor(
+                    plan=fusion, members=members, router=router,
+                    seed=self.config.seed,
+                    member_factories=member_factories,
+                    strategy=self.supervisor, **common)
+            self.fusion_executions[vertex] = "meta" if loop is None else "loop"
+        else:  # single | replica
+            factory = self._vertex_factory(vertex, name)
             actor = OperatorActor(
-                name=name,
-                vertex=name,
+                vertex=vertex,
                 operator=factory(),
                 router=router,
-                mailbox=mailbox,
-                stop_event=self.stop_event,
+                keep_wrapped=node.kind == "replica",
                 operator_factory=factory,
-                policy=self.supervisor.policy_for(name),
-                context=self.context,
+                policy=self.supervisor.policy_for(vertex),
+                **common,
             )
-            self.actors.append(actor)
-            self._entries[name] = Target(name, mailbox)
-            self._router_owners[name] = actor
-        return build
+            if node.kind == "replica" and vertex in self._ensembles:
+                self._ensembles[vertex].members.append(actor)
+        self._register(actor, targets)
+        return actor
 
-    def _defer_parallel(self, name: str, make_operator, router: Router):
-        def build() -> None:
-            spec = self.topology.operator(name)
-            collector_mailbox = self._new_mailbox()
-            collector = CollectorActor(
-                name=f"{name}.collector",
-                vertex=name,
-                router=router,
-                mailbox=collector_mailbox,
-                stop_event=self.stop_event,
-                context=self.context,
-            )
-            collector_target = Target(name, collector_mailbox)
+    def _loop_operator(self, fusion: FusionPlan,
+                       members: Mapping[str, Operator]) -> Optional[Operator]:
+        """The loop-compiled operator of a fused vertex, if admissible.
 
-            def spawn(index: int) -> Tuple[Target, OperatorActor]:
-                """One replica exactly as pass 1 builds it (unstarted)."""
-                replica_mailbox = self._new_mailbox()
-                replica_router = Router(f"{name}#{index}")
-                replica_router.add(1.0, collector_target)
-                factory = self._vertex_factory(name, make_operator,
-                                               clock_key=f"{name}#{index}")
-                actor = OperatorActor(
-                    name=f"{name}#{index}",
-                    vertex=name,
-                    operator=factory(),
-                    router=replica_router,
-                    mailbox=replica_mailbox,
-                    stop_event=self.stop_event,
-                    keep_wrapped=True,
-                    operator_factory=factory,
-                    policy=self.supervisor.policy_for(name),
-                    context=self.context,
-                )
-                return Target(name, replica_mailbox), actor
-
-            members: List[Tuple[Target, OperatorActor]] = []
-            replica_targets: List[Target] = []
-            operators: List[Operator] = []
-            for index in range(spec.replication):
-                target, actor = spawn(index)
-                self.actors.append(actor)
-                members.append((target, actor))
-                replica_targets.append(target)
-                operators.append(actor.operator)
-
-            key_of = None
-            key_assignment = None
-            if spec.state is StateKind.PARTITIONED:
-                key_of = operators[0].key_of
-                assert spec.keys is not None  # enforced by OperatorSpec
-                _, _, plan = key_partitioning(
-                    spec.keys, spec.replication,
-                    heuristic=self.config.partition_heuristic,
-                )
-                key_assignment = plan.assignment
-
-            emitter_mailbox = self._new_mailbox(vertex=name)
-            emitter = EmitterActor(
-                name=f"{name}.emitter",
-                vertex=name,
-                replicas=replica_targets,
-                mailbox=emitter_mailbox,
-                stop_event=self.stop_event,
-                key_of=key_of,
-                key_assignment=key_assignment,
-                context=self.context,
-            )
-            self.actors.append(emitter)
-            self.actors.append(collector)
-            self._entries[name] = Target(name, emitter_mailbox)
-            self._router_owners[name] = collector
-            if key_of is None:
-                # Stateless (round-robin) vertices can live-scale; a
-                # fixed key-to-replica assignment cannot be resized
-                # without re-partitioning state, so partitioned
-                # ensembles stay static.
-                self._ensembles[name] = _Ensemble(
-                    vertex=name,
-                    emitter=emitter,
-                    spawn=spawn,
-                    next_index=spec.replication,
-                    members=members,
-                )
-        return build
-
-    def _defer_meta(self, plan: FusionPlan, factories, make_operator,
-                    router: Router):
-        def build() -> None:
-            mode = self.config.fusion_mode
-            if mode not in ("meta", "loop", "auto"):
-                raise TopologyError(
-                    f"fusion_mode must be 'meta', 'loop' or 'auto', "
-                    f"got {mode!r}"
-                )
-            mailbox = self._new_mailbox(vertex=plan.fused_name)
-            member_factories = {
-                name: self._vertex_factory(name, make_operator)
-                for name in plan.members
-            }
-            members = {name: factory()
-                       for name, factory in member_factories.items()}
-            if mode != "meta" and self._try_loop(plan, members, mailbox,
-                                                 router, mode):
-                return
-            self.fusion_executions[plan.fused_name] = "meta"
-            actor = MetaOperatorActor(
-                name=plan.fused_name,
-                plan=plan,
-                members=members,
-                router=router,
-                mailbox=mailbox,
-                stop_event=self.stop_event,
-                seed=self.config.seed,
-                member_factories=member_factories,
-                strategy=self.supervisor,
-                context=self.context,
-            )
-            self.actors.append(actor)
-            self._entries[plan.fused_name] = Target(plan.fused_name, mailbox)
-            self._router_owners[plan.fused_name] = actor
-        return build
-
-    def _try_loop(self, plan: FusionPlan, members, mailbox: BoundedMailbox,
-                  router: Router, mode: str) -> bool:
-        """Build a loop-compiled actor for a fused vertex if admissible.
-
-        Returns ``True`` when the loop actor was built.  ``"loop"`` mode
-        raises for inadmissible plans; ``"auto"`` silently falls back to
-        the meta-operator.  Fault injection on any member forces the
-        meta-actor regardless (the injected wrapper is deliberately
+        ``None`` runs the meta-operator instead: always in ``"meta"``
+        mode, and in ``"auto"`` mode for inadmissible plans, for which
+        ``"loop"`` mode raises.  Fault injection on any member forces
+        the meta-actor regardless (the injected wrapper is deliberately
         impure, and member-level supervision needs the meta path).
         """
+        mode = self.config.fusion_mode
+        if mode not in ("meta", "loop", "auto"):
+            raise TopologyError(
+                f"fusion_mode must be 'meta', 'loop' or 'auto', "
+                f"got {mode!r}"
+            )
+        if mode == "meta":
+            return None
         from repro.codegen.fuseloop import (
             LoopOperator,
             loop_eligibility_from_operators,
         )
         faulted = []
         if self.injector is not None:
-            faulted = [name for name in plan.members
+            faulted = [name for name in fusion.members
                        if not self.injector.schedule(name).empty]
-        verdict = loop_eligibility_from_operators(plan, members)
-        if faulted or not verdict.eligible:
-            if mode == "loop":
-                reasons = list(verdict.reasons)
-                if faulted:
-                    reasons.append(
-                        f"fault plan injects into members {sorted(faulted)}")
-                raise TopologyError(
-                    f"fusion plan {plan.fused_name!r} cannot be "
-                    f"loop-compiled: {'; '.join(reasons)}"
-                )
-            return False
-        operator = LoopOperator(plan, members, chain=verdict.chain)
-        actor = OperatorActor(
-            name=plan.fused_name,
-            vertex=plan.fused_name,
-            operator=operator,
-            router=router,
-            mailbox=mailbox,
-            stop_event=self.stop_event,
-            policy=self.supervisor.policy_for(plan.fused_name),
-            context=self.context,
-        )
-        self.actors.append(actor)
-        self._entries[plan.fused_name] = Target(plan.fused_name, mailbox)
-        self._router_owners[plan.fused_name] = actor
-        self.fusion_executions[plan.fused_name] = "loop"
-        return True
+        verdict = loop_eligibility_from_operators(fusion, members)
+        if not faulted and verdict.eligible:
+            return LoopOperator(fusion, members, chain=verdict.chain)
+        if mode == "loop":
+            reasons = list(verdict.reasons)
+            if faulted:
+                reasons.append(
+                    f"fault plan injects into members {sorted(faulted)}")
+            raise TopologyError(
+                f"fusion plan {fusion.fused_name!r} cannot be "
+                f"loop-compiled: {'; '.join(reasons)}"
+            )
+        return None
 
     # ------------------------------------------------------------------
     # execution
@@ -766,41 +660,106 @@ class ActorSystem:
         self.watchdog_report = report
         self._fail("<watchdog>", report.verdict)
 
+    def _retire(self, wait: Callable[[Callable[[float], bool], str],
+                                     Optional[str]],
+                senders_done: Optional[Callable[[str, float], bool]] = None,
+                retired: Optional[Callable[[str], None]] = None,
+                ) -> Optional[str]:
+        """Retire every actor in the plan's order: close its mailbox,
+        let it empty the queue and flush, join it.
+
+        The order is topological, so a mailbox closes only after every
+        local sender into it has flushed and exited — nothing in flight
+        is lost.  Replicas ``scale_vertex`` spawned retire just before
+        their collector.  ``wait(done, what)`` blocks until
+        ``done(seconds)`` holds and returns ``None``, or gives up and
+        says why, which ends the pass.  ``senders_done(node, seconds)``
+        answers for the senders of other shards (whose end of stream no
+        order here implies) and ``retired(node)`` hears of each join.
+        """
+        rank = {nid: index for index, nid in enumerate(self.plan.order)}
+        exits = self.plan.exit
+        for actor in sorted(self.actors, key=lambda actor: rank.get(
+                actor.actor_name, rank[exits[actor.vertex]] - 0.5)):
+            name = actor.actor_name
+
+            def joined(seconds: float) -> bool:
+                if actor.is_alive():
+                    actor.join(seconds)
+                return not actor.is_alive()
+
+            outcome = None
+            if senders_done is not None:
+                outcome = wait(lambda seconds: senders_done(name, seconds),
+                               f"the remote senders of {name!r}")
+            if outcome is None:
+                actor.mailbox.close()
+                outcome = wait(joined, f"actor {name!r}")
+            if outcome is not None:
+                return outcome
+            if retired is not None:
+                retired(name)
+        return None
+
+    def drain(self, timeout: Optional[float] = 30.0,
+              senders_done: Optional[Callable[[str, float], bool]] = None,
+              retired: Optional[Callable[[str], None]] = None) -> str:
+        """End a finite job by the plan's order instead of by a clock.
+
+        Waits for the source to exhaust (``max_items``, or a ``stop``
+        of the source), then retires every actor behind it in order —
+        see :meth:`_retire` for the two callbacks — so that on
+        ``"completed"`` every tuple generated has been processed by
+        every actor on its way.  Returns ``"recover"`` as soon as a
+        checkpointed crash requests a rollback, ``"failed"`` on an
+        escalation, a watchdog verdict or an abort, ``"timeout"`` after
+        ``timeout`` seconds (``None`` waits for ever); the latter two
+        name what was being waited for in ``failure_reason``.  The
+        caller still calls :meth:`stop`.
+        """
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def wait(done: Callable[[float], bool], what: str) -> Optional[str]:
+            while True:
+                if self.recovery.is_set():
+                    return "recover"
+                if self.failure.is_set() or self.stop_event.is_set():
+                    outcome = "failed"
+                elif deadline is not None and time.monotonic() >= deadline:
+                    outcome = "timeout"
+                elif done(_WATCH_SECONDS):
+                    return None
+                else:
+                    continue
+                if self.failure_reason is None:
+                    self.failure_reason = f"{outcome} waiting for {what}"
+                return outcome
+
+        return (self._retire(wait, senders_done, retired)
+                or wait(lambda seconds: True, "the last actor")
+                or "completed")
+
     def stop(self, join_timeout: float = 5.0) -> List[str]:
         """Stop and join every actor; returns the leaked actor names.
 
-        Closing the mailboxes wakes senders blocked on full mailboxes
-        (they observe :class:`MailboxClosed` and exit), so a deadlocked
-        system unwinds here.  Actors still alive after the join timeout
-        are reported instead of silently leaking their threads.
+        The abort path of :meth:`drain`: generation ends now, and the
+        same ordered pass retires the actors for as long as each exits
+        promptly — what is queued is still processed, a final partial
+        batch still lands in an open mailbox.  The first actor that
+        does not (a deadlocked or wedged system) ends the pass; closing
+        every mailbox then wakes all blocked senders at once (they
+        observe :class:`MailboxClosed` and exit).  Actors still alive
+        after the join timeout are reported instead of silently leaking
+        their threads.
         """
-        self.stop_event.set()
-        # Graceful pass: retire actors in topological order so a final
-        # partial batch force-flushed by an exiting actor lands in a
-        # still-open downstream mailbox instead of being lost — batched
-        # shutdown stays as lossless as unbatched shutdown (receivers
-        # drain closed mailboxes before exiting).  A healthy actor exits
-        # within milliseconds of its mailbox closing; the first one that
-        # doesn't (a deadlocked or wedged system) aborts the pass and
-        # falls through to the global close below, which wakes every
-        # blocked sender at once.
+        self.source_stop.set()
         grace = min(1.0, join_timeout)
-        by_vertex: Dict[str, List[ActorBase]] = {}
-        for actor in self.actors:
-            by_vertex.setdefault(actor.vertex, []).append(actor)
-        graceful = True
-        for name in self.topology.names:
-            if not graceful:
-                break
-            for actor in by_vertex.get(name, ()):
-                actor.mailbox.close()
-                if actor.is_alive():
-                    actor.join(timeout=grace)
-                if actor.is_alive():
-                    graceful = False
-                    break
-        for mailbox in self._mailboxes:
+        self._retire(lambda done, what: None if done(grace) else what)
+        self.stop_event.set()
+        for mailbox in self.mailboxes.values():
             mailbox.close()
+        for sender in self._remote.values():
+            sender.mailbox.close()
         for actor in self.actors:
             if actor.is_alive():
                 actor.join(timeout=join_timeout)
@@ -860,25 +819,30 @@ class ActorSystem:
             delta = replicas - current
             if delta == 0:
                 return 0
-            retired: List[Tuple[Target, OperatorActor]] = []
-            if delta > 0:
-                for _ in range(delta):
-                    target, actor = ensemble.spawn(ensemble.next_index)
-                    ensemble.next_index += 1
-                    self.actors.append(actor)
-                    if self._started:
-                        actor.start()
-                    ensemble.members.append((target, actor))
-            else:
+            retired: List[OperatorActor] = []
+            for _ in range(max(delta, 0)):
+                # One more replica node than the plan has, built and
+                # linked to the collector exactly as ``wire`` does it.
+                node = Node(f"{vertex}#{ensemble.next_index}", "replica",
+                            vertex, replica=ensemble.next_index)
+                ensemble.next_index += 1
+                self._new_mailbox(node)
+                actor = self._build_node(node, [Link(
+                    node.node_id, self.plan.exit[vertex], "gather")])
+                if self._started:
+                    actor.start()
+            if delta < 0:
                 retired = ensemble.members[replicas:]
-                ensemble.members = ensemble.members[:replicas]
-            targets = [target for target, _ in ensemble.members]
+                del ensemble.members[replicas:]
+            targets = [Target(vertex, actor.mailbox)
+                       for actor in ensemble.members]
             if not self._started:
                 # No threads yet: swap directly, nothing to drain.
                 ensemble.emitter.replicas = targets
             else:
                 directive = ScaleDirective(
-                    targets, [target for target, _ in retired])
+                    targets, [Target(vertex, actor.mailbox)
+                              for actor in retired])
                 ensemble.emitter.mailbox.put(
                     (directive, "<scale>"), control=True)
                 if not directive.done.wait(timeout):
@@ -886,14 +850,14 @@ class ActorSystem:
                         f"emitter of {vertex!r} did not apply the scale "
                         f"directive within {timeout:g}s")
                 deadline = time.perf_counter() + timeout
-                for target, actor in retired:
+                for actor in retired:
                     actor.join(timeout=max(
                         0.0, deadline - time.perf_counter()))
                     if actor.is_alive():
                         raise TimeoutError(
                             f"retired replica {actor.actor_name!r} did "
                             f"not drain within {timeout:g}s")
-                    target.mailbox.close()
+                    actor.mailbox.close()
             self.reconfigurations += 1
             return delta
 
@@ -907,14 +871,14 @@ class ActorSystem:
         every replica; meta-actors migrate ``member`` or all members).
         Returns the completed ticket — inspect ``.ok`` / ``.errors``.
         """
-        entry = self._entries.get(vertex)
-        if entry is None:
+        mailbox = self.mailboxes.get(self.plan.entry.get(vertex, ""))
+        if mailbox is None:
             raise TopologyError(
                 f"vertex {vertex!r} has no entry mailbox (sources "
                 f"cannot migrate in-band)")
         ticket = MigrationTicket(vertex, member=member)
         with self._reconfig_lock:
-            entry.mailbox.put((ticket, "<migrate>"), control=True)
+            mailbox.put((ticket, "<migrate>"), control=True)
             if not ticket.wait(timeout):
                 raise TimeoutError(
                     f"migration of {vertex!r} did not complete within "

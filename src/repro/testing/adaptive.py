@@ -74,8 +74,8 @@ from repro.runtime.system import ActorSystem, RuntimeConfig
 from repro.testing.differential import (
     DifferentialConfig,
     DifferentialReport,
-    _collect_sinks,
     _compare,
+    finish_capture,
     run_capture,
     topology_factories,
 )
@@ -295,7 +295,7 @@ def _wait_backlog_drain(system: ActorSystem, timeout: float,
     re-solve left saturated keeps a standing queue — the model predicts
     capacity-limited rates there, so measuring anyway is sound).
     """
-    mailboxes = system._mailboxes
+    mailboxes = list(system.mailboxes.values())
     bound = max(4.0, 0.5 * len(mailboxes))
     deadline = time.perf_counter() + timeout
     while time.perf_counter() < deadline:
@@ -663,30 +663,16 @@ def _run_with_migrations(
                                fusion_plans=fusion_plans)
     errors: List[str] = []
     system.start()
-    try:
-        for vertex in migrations:
-            time.sleep(0.03)
-            try:
-                ticket = system.migrate_vertex(vertex, timeout=10.0)
-            except Exception as error:  # noqa: BLE001 - report, don't hang
-                errors.append(f"{vertex}: {type(error).__name__}: {error}")
-                continue
-            if not ticket.ok:
-                errors.append(f"{vertex}: {'; '.join(ticket.errors)}")
-        deadline = time.monotonic() + config.quiet_timeout
-        if system.source_actor is not None:
-            system.source_actor.join(
-                timeout=max(0.0, deadline - time.monotonic()))
-        previous = -1
-        while time.monotonic() < deadline:
-            current = system._progress()
-            if current == previous:
-                break
-            previous = current
-            time.sleep(config.quiet_period)
-    finally:
-        system.stop()
-    return _collect_sinks(system), errors
+    for vertex in migrations:
+        time.sleep(0.03)
+        try:
+            ticket = system.migrate_vertex(vertex, timeout=10.0)
+        except Exception as error:  # noqa: BLE001 - report, don't hang
+            errors.append(f"{vertex}: {type(error).__name__}: {error}")
+            continue
+        if not ticket.ok:
+            errors.append(f"{vertex}: {'; '.join(ticket.errors)}")
+    return finish_capture(system, config), errors
 
 
 def check_migration_seed(seed: int,

@@ -27,7 +27,6 @@ disagrees.
 from __future__ import annotations
 
 import random
-import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -78,9 +77,8 @@ class DifferentialConfig:
     #: Member-chain length bounds of the random testbeds.
     min_members: int = 2
     max_members: int = 4
-    #: Seconds of no progress before a run counts as drained, and the
-    #: hard deadline on waiting for that quiescence.
-    quiet_period: float = 0.25
+    #: Hard deadline, in seconds, on one run ending by its own order
+    #: (``ActorSystem.drain`` / the process backend's EOS cascade).
     quiet_timeout: float = 20.0
     #: Minimize failing cases before reporting.
     shrink_failures: bool = True
@@ -188,10 +186,12 @@ def run_capture(
 ) -> Dict[str, List[str]]:
     """Run a topology to source exhaustion; canonical outputs per sink.
 
-    The system runs unpaced until the source emits ``max_items`` and
-    the pipeline drains (no progress for ``quiet_period``), so captures
-    are complete rather than windowed.  ``expect_execution`` asserts
-    how fused vertices actually executed (``"loop"``/``"meta"``).
+    The system runs until the source emits ``max_items`` and every
+    actor behind it has retired in the plan's order, so captures are
+    complete rather than windowed (a run that does not get there
+    within ``quiet_timeout`` is an error, not a shorter capture).
+    ``expect_execution`` asserts how fused vertices actually executed
+    (``"loop"``/``"meta"``).
     """
     config = config or DifferentialConfig()
     if factories is None:
@@ -208,20 +208,21 @@ def run_capture(
                 f"expected every fused vertex to execute as "
                 f"{expect_execution!r}, got {wrong}")
     system.start()
+    return finish_capture(system, config)
+
+
+def finish_capture(system: ActorSystem, config: DifferentialConfig,
+                   ) -> Dict[str, List[str]]:
+    """Run a started system to the end of its finite job and stop it;
+    canonical outputs per sink."""
     try:
-        deadline = time.monotonic() + config.quiet_timeout
-        if system.source_actor is not None:
-            system.source_actor.join(
-                timeout=max(0.0, deadline - time.monotonic()))
-        previous = -1
-        while time.monotonic() < deadline:
-            current = system._progress()
-            if current == previous:
-                break
-            previous = current
-            time.sleep(config.quiet_period)
+        outcome = system.drain(config.quiet_timeout)
     finally:
         system.stop()
+    if outcome != "completed":
+        raise RuntimeError(
+            f"run of {system.topology.name!r} ended {outcome!r}: "
+            f"{system.failure_reason}")
     return _collect_sinks(system)
 
 
@@ -341,7 +342,6 @@ def _shrink_chain(seed: int, topology: Topology, members: Sequence[str],
     quiet = DifferentialConfig(
         items=config.items, mailbox_capacity=config.mailbox_capacity,
         batch_size=config.batch_size,
-        quiet_period=config.quiet_period,
         quiet_timeout=config.quiet_timeout,
         shrink_failures=False,
     )
@@ -614,8 +614,7 @@ def _recovery_divergences(seed: int, topology: Topology,
         result.fused, factories,
         runtime=_runtime(config, seed, fault_plan=plan, **overrides),
         fusion_plans=plans, checkpoint=checkpoint,
-        quiet_period=config.quiet_period,
-        quiet_timeout=config.quiet_timeout)
+        timeout=config.quiet_timeout)
     label = f"{fusion_mode}+recovery(batch={batch_size})"
     if outcome.outcome != "completed":
         return ([f"recovery run ended {outcome.outcome!r} after "

@@ -24,6 +24,7 @@ from repro.runtime.procshard import ProcShardConfig, ProcShardSystem
 from repro.runtime.system import ActorSystem, RuntimeConfig
 
 from tests.analysis.fixtures import deployfixtures as fx
+from tests.analysis.fixtures import opfixtures
 
 SOURCE_CLASS = "repro.operators.source_sink.GeneratorSource"
 SINK_CLASS = "repro.operators.source_sink.CollectingSink"
@@ -129,6 +130,26 @@ class TestProcShardGate:
                 topology, _factories(topology),
                 config=ProcShardConfig(shards=2),
                 placement={"source": (0,), "work": (0, 1), "sink": (0,)})
+
+    def test_refuses_a_scattered_operator_that_only_claims_statelessness(self):
+        # verify_plan's SS312 looks through the declaration (the
+        # topology of test_ss312_sees_through_declared_stateless); the
+        # build gate is that rule, not a second reading of it.
+        topology = _runnable(opfixtures.SNEAKY_COUNTER_PATH, replication=2)
+        with pytest.raises(TopologyError, match="SS312"):
+            ProcShardSystem.build(
+                topology, _factories(topology),
+                config=ProcShardConfig(shards=2),
+                placement={"source": (0,), "work": (0, 1), "sink": (0,)})
+
+    def test_refuses_a_placement_naming_an_unknown_operator(self):
+        topology = _runnable(fx.MODULE_FN_PATH)
+        with pytest.raises(TopologyError, match=r"SS311 \[ghost\]"):
+            ProcShardSystem.build(
+                topology, _factories(topology),
+                config=ProcShardConfig(shards=2),
+                placement={"source": (0,), "work": (1,), "sink": (0,),
+                           "ghost": (1,)})
 
 
 class TestDeploymentPlanGate:

@@ -53,17 +53,8 @@ def elastic_factories(sink):
 
 
 def drain(system, timeout=15.0):
-    """Wait for source exhaustion, then system-wide quiescence."""
-    deadline = time.monotonic() + timeout
-    if system.source_actor is not None:
-        system.source_actor.join(timeout=timeout)
-    previous = -1
-    while time.monotonic() < deadline:
-        current = system._progress()
-        if current == previous:
-            return
-        previous = current
-        time.sleep(0.05)
+    """Run the finite job to its end: every actor retired in order."""
+    assert system.drain(timeout) == "completed", system.failure_reason
 
 
 class TestLiveScaling:

@@ -9,8 +9,6 @@ crash *inside* ``restore_state`` falls back to an older epoch (or a
 cold start) instead of looping forever.
 """
 
-import threading
-
 import pytest
 
 from repro.core.graph import CheckpointConfig, Edge, OperatorSpec, Topology, TopologyError
@@ -67,15 +65,7 @@ def run_plain(topology, runtime):
     system = ActorSystem.build(topology, chain_factories(), config=runtime)
     system.start()
     try:
-        assert system.source_actor is not None
-        system.source_actor.join(timeout=20.0)
-        previous = -1
-        while True:
-            current = system._progress()
-            if current == previous:
-                break
-            previous = current
-            threading.Event().wait(0.2)
+        assert system.drain(20.0) == "completed", system.failure_reason
     finally:
         system.stop()
     return system
@@ -219,14 +209,7 @@ class TestBarrierFlow:
             chain(), chain_factories(), config=runtime, checkpoint=session)
         checked.start()
         try:
-            checked.source_actor.join(timeout=20.0)
-            previous = -1
-            while True:
-                current = checked._progress()
-                if current == previous:
-                    break
-                previous = current
-                threading.Event().wait(0.2)
+            assert checked.drain(20.0) == "completed", checked.failure_reason
         finally:
             checked.stop()
         # 120 items / interval 25 -> barriers at 25, 50, 75, 100

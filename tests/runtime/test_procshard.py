@@ -25,10 +25,11 @@ from repro.core.graph import (
     Topology,
     TopologyError,
 )
-from repro.operators.base import Operator
+from repro.operators.base import KeyedOperator, Operator
 from repro.operators.source_sink import CollectingSink, GeneratorSource
 from repro.runtime.actors import EmitterActor, Target
 from repro.runtime.mailbox import Batch, BoundedMailbox
+from repro.core.physical import build_plan
 from repro.runtime.procshard import (
     ChannelSender,
     ProcShardConfig,
@@ -36,11 +37,27 @@ from repro.runtime.procshard import (
     _ChannelConn,
     run_sharded,
 )
+from repro.runtime.system import ActorSystem, RuntimeConfig
+
+
+class KeyedIdentity(KeyedOperator):
+    """Partitioned by the generator's ``key`` field, holds nothing."""
+
+    def __init__(self) -> None:
+        super().__init__("key")
+
+    def operator_function(self, item):
+        return [item]
 
 
 def chain_topology(replication: int = 1,
                    keys: KeyDistribution | None = None) -> Topology:
-    state = StateKind.PARTITIONED if keys is not None else StateKind.STATELESS
+    # The stage is scattered over shards, which SS312 allows only for
+    # classes that keep no monolithic state.
+    if keys is not None:
+        state, stage = StateKind.PARTITIONED, f"{__name__}.KeyedIdentity"
+    else:
+        state, stage = StateKind.STATELESS, "repro.operators.basic.Identity"
     specs = [
         OperatorSpec(name="source", service_time=2e-4,
                      operator_class=(
@@ -48,8 +65,7 @@ def chain_topology(replication: int = 1,
                      operator_args={"seed": 7}),
         OperatorSpec(name="stage", service_time=2e-4,
                      replication=replication, state=state, keys=keys,
-                     operator_class="repro.runtime.synthetic.GainOperator",
-                     operator_args={"gain": 1.0}),
+                     operator_class=stage),
         OperatorSpec(name="sink", service_time=1e-4,
                      operator_class=(
                          "repro.operators.source_sink.CollectingSink"),
@@ -155,7 +171,7 @@ class TestProcessHygiene:
             "sink": lambda: CollectingSink(capacity=100_000),
         }
         config = ProcShardConfig(shards=2, max_items=400,
-                                 join_timeout=2.0, drain_timeout=8.0)
+                                 drain_timeout=8.0)
         system = ProcShardSystem.build(
             topology, factories, config=config,
             placement={"source": (0,), "stage": (1,), "sink": (0,)})
@@ -243,6 +259,37 @@ class TestWorkConservingChannelFlush:
         finally:
             system.finish(stop=True)
         assert system.leaked_workers == []
+
+
+class TestShardDropAccounting:
+    """A worker is an ``ActorSystem`` over its shard: a batch lost on a
+    channel is accounted like a batch lost on a local mailbox."""
+
+    def test_batch_lost_on_a_dead_channel_is_accounted_to_its_owner(self):
+        topology = chain_topology()
+        plan = build_plan(
+            topology, {"source": (0,), "stage": (1,), "sink": (1,)},
+            batch_size=1, batch_flush_timeout=0.05,
+            partition_heuristic="greedy")
+        (link,) = [l for l in plan.links if l.channel is not None]
+        data_recv, data_send = multiprocessing.Pipe(duplex=False)
+        ack_recv, _ack_send = multiprocessing.Pipe(duplex=False)
+        sender = ChannelSender("stage", _ChannelConn(data_send, ack_recv, 64),
+                               32, 3600.0)
+        system = ActorSystem(topology, RuntimeConfig(watchdog=False))
+        system.wire(plan, factories_for(topology), shard=0,
+                    remote={link.channel: sender})
+        (source,) = system.actors
+        assert source.batch_targets == [sender]
+        for index in range(5):
+            source._send(sender, {"index": index})
+        assert (source.counters.emitted, source.counters.dropped) == (5, 0)
+        data_recv.close()  # the receiving shard is gone
+        source._flush_batches(force=True)
+        assert (source.counters.emitted, source.counters.dropped) == (0, 5)
+        letters = system.context.dead_letters.letters
+        assert [(l.vertex, l.reason, l.payload["index"]) for l in letters] \
+            == [("source", "receiver-closed", index) for index in range(5)]
 
 
 class TestPlacementValidation:

@@ -4,15 +4,30 @@ These run wall-clock time, so durations are kept short; rate assertions
 use generous tolerances to stay robust on loaded CI machines.
 """
 
+import threading
+
 import pytest
 
 from repro.core.fission import eliminate_bottlenecks
 from repro.core.fusion import apply_fusion
-from repro.core.graph import Edge, KeyDistribution, OperatorSpec, StateKind, Topology
+from repro.core.graph import (
+    CheckpointConfig,
+    Edge,
+    KeyDistribution,
+    OperatorSpec,
+    StateKind,
+    Topology,
+)
 from repro.core.steady_state import analyze
-from repro.operators.base import Record
+from repro.faults.plan import CrashFault, FaultPlan
+from repro.operators.base import Operator, Record
 from repro.operators.basic import Filter, Identity
 from repro.operators.source_sink import CollectingSink, CountingSink, GeneratorSource
+from repro.runtime.supervision import (
+    Directive,
+    SupervisionPolicy,
+    SupervisorStrategy,
+)
 from repro.runtime.synthetic import PaddedOperator
 from repro.runtime.system import ActorSystem, RuntimeConfig, run_topology
 from tests.conftest import make_pipeline
@@ -185,6 +200,118 @@ class TestLifecycle:
         from repro.core.graph import TopologyError
         with pytest.raises(TopologyError, match="no factory"):
             ActorSystem.build(topology, {})
+
+
+class Blocker(Operator):
+    """Holds every item until released."""
+
+    def __init__(self, release):
+        self.release = release
+
+    def operator_function(self, item):
+        self.release.wait()
+        return [item]
+
+
+def finite_job(work, items=200, replication=3, **config):
+    """source -> work x replication -> counting sink over ``items``."""
+    topology = Topology(
+        [OperatorSpec("src", 1e-4),
+         OperatorSpec("work", 2e-3, replication=replication),
+         OperatorSpec("sink", 1e-4, output_selectivity=0.0)],
+        [Edge("src", "work"), Edge("work", "sink")], name="finite-job")
+    sink = CountingSink()
+    system = ActorSystem.build(
+        topology,
+        {"src": lambda: GeneratorSource(seed=7), "work": work,
+         "sink": lambda: sink},
+        config=RuntimeConfig(max_items=items, mailbox_capacity=64,
+                             watchdog=False, **config))
+    return system, sink
+
+
+def lost(system):
+    return (sum(s.dropped for s in system.snapshot().values()),
+            system.context.dead_letters.total)
+
+
+class TestFiniteJob:
+    """A finite job ends by the plan's order, on ``drain`` and ``stop``
+    alike: what the source generated is processed, not guessed drained."""
+
+    WORK = staticmethod(lambda: PaddedOperator(Identity(), 2e-3))
+
+    def test_drain_delivers_every_tuple_of_a_replicated_vertex(self):
+        system, sink = finite_job(self.WORK)
+        system.start()
+        try:
+            assert system.drain(20.0) == "completed", system.failure_reason
+            assert all(not actor.is_alive() for actor in system.actors)
+        finally:
+            leaked = system.stop()
+        assert (sink.count, leaked, lost(system)) == (200, [], (0, 0))
+
+    def test_stop_loses_nothing_queued_behind_an_emitter(self):
+        # The source has joined, so everything it generated sits in the
+        # emitter's and the replicas' mailboxes: ``stop`` must close
+        # the emitter's before the replicas', not the other way round.
+        system, sink = finite_job(self.WORK)
+        system.start()
+        system.source_actor.join(timeout=20.0)
+        leaked = system.stop()
+        assert (sink.count, leaked, lost(system)) == (200, [], (0, 0))
+
+    def test_drain_retires_spawned_replicas_before_their_collector(self):
+        system, sink = finite_job(self.WORK, replication=1, elastic=True,
+                                  source_rate=2000.0)
+        system.start()
+        try:
+            assert system.scale_vertex("work", 3) == 2
+            assert system.drain(20.0) == "completed", system.failure_reason
+        finally:
+            leaked = system.stop()
+        assert (sink.count, leaked, lost(system)) == (200, [], (0, 0))
+        assert {a.actor_name for a in system.actors} - set(
+            system.plan.nodes) == {"work#1", "work#2"}
+
+    def test_timeout_names_the_actor_waited_for(self):
+        release = threading.Event()
+        # Ten items fit the mailbox: the source exhausts, ``work`` holds.
+        system, sink = finite_job(lambda: Blocker(release), items=10,
+                                  replication=1)
+        system.start()
+        try:
+            assert system.drain(1.0) == "timeout"
+            assert "actor 'work'" in system.failure_reason
+        finally:
+            release.set()
+            assert system.stop() == []
+
+    def test_recover_when_a_checkpointed_crash_requests_rollback(self):
+        system, sink = finite_job(
+            Identity, replication=1,
+            checkpoint=CheckpointConfig(interval_items=50),
+            fault_plan=FaultPlan(seed=1, crashes=(CrashFault("work", 20),)))
+        system.start()
+        try:
+            assert system.drain(20.0) == "recover"
+            assert system.recovery_vertex == "work"
+        finally:
+            assert system.stop() == []
+        assert sink.count < 200
+
+    def test_failed_on_an_escalation(self):
+        escalate = SupervisionPolicy(on_crash=Directive.ESCALATE)
+        system, sink = finite_job(
+            Identity, replication=1,
+            supervisor=SupervisorStrategy(default=escalate),
+            fault_plan=FaultPlan(seed=1, crashes=(CrashFault("work", 20),)))
+        system.start()
+        try:
+            assert system.drain(20.0) == "failed"
+            assert "work" in system.failure_reason
+        finally:
+            assert system.stop() == []
 
 
 class TestRuntimeLatency:

@@ -77,6 +77,33 @@ class TestProfileRun:
         assert work.service_rate == pytest.approx(200.0, rel=0.25)
 
 
+class TestExhaustionProfile:
+    def test_same_items_and_seed_replay_the_profile(self):
+        # The window boundary is the item count and the run ends by the
+        # plan's order, so nothing here depends on the clock.
+        def counts():
+            report = profile_topology(
+                profiled_topology(),
+                {**factories(), "work": Identity,
+                 "flt": lambda: Filter(threshold=0.5)},
+                items=300, seed=11)
+            return {name: (p.items_processed, p.gain,
+                           dict(p.edge_frequencies))
+                    for name, p in report.profiles.items()}
+
+        first = counts()
+        assert first == counts()
+        assert first["src"][0] == first["work"][0] == first["flt"][0] == 300
+        assert first["sink"][0] == round(300 * first["flt"][1])
+        assert 0.3 < first["flt"][1] < 0.7
+        assert first["work"][2] == {"flt": 1.0}
+
+    def test_items_must_be_positive(self):
+        from repro.core.graph import TopologyError
+        with pytest.raises(TopologyError, match="items"):
+            profile_topology(profiled_topology(), factories(), items=0)
+
+
 class TestServiceTimer:
     def test_measures_mean_and_gain(self):
         timer = ServiceTimer(PaddedOperator(Identity(), 2e-3))
