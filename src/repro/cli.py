@@ -13,7 +13,6 @@ The console counterpart of the paper's GUI workflow::
     spinstreams random --seed 7 -o random.xml    # Algorithm 5 testbed entry
     spinstreams conformance --seeds 25           # differential conformance
     spinstreams adapt --seeds 20 -o decisions.json   # online re-optimization
-    spinstreams bench -o BENCH_8.json            # perf microbenchmarks
     spinstreams render app.xml -o app.dot        # Graphviz rendering
 """
 
@@ -208,30 +207,11 @@ def _cmd_autofuse(args: argparse.Namespace) -> int:
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    from repro.operators.base import instantiate_operator
     from repro.profiling.profiler import profile_topology
-    from repro.runtime.synthetic import PaddedOperator
     from repro.runtime.system import RuntimeConfig
 
     topology = parse_topology(args.topology)
-    factories = {}
-    for spec in topology.operators:
-        if not spec.operator_class:
-            print(f"error: operator {spec.name!r} has no class to run",
-                  file=sys.stderr)
-            return 2
-        if args.pad and spec.name != topology.source:
-            factories[spec.name] = (
-                lambda s=spec: PaddedOperator(
-                    instantiate_operator(s.operator_class, s.operator_args),
-                    s.service_time,
-                )
-            )
-        else:
-            factories[spec.name] = (
-                lambda s=spec: instantiate_operator(s.operator_class,
-                                                    s.operator_args)
-            )
+    factories = _run_factories(topology, args.pad)
     report = profile_topology(
         topology, factories, duration=args.duration,
         config=RuntimeConfig(source_rate=args.source_rate),
@@ -252,9 +232,9 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_factories(topology, pad: bool, seed: int):
-    """Operator factories for ``spinstreams run``: the declared classes,
-    optionally padded to their declared service times."""
+def _run_factories(topology, pad: bool):
+    """Operator factories for ``spinstreams run`` and ``profile``: the
+    declared classes, optionally padded to their declared service times."""
     from repro.operators.base import instantiate_operator
     from repro.runtime.synthetic import PaddedOperator
 
@@ -281,7 +261,7 @@ def _run_factories(topology, pad: bool, seed: int):
 
 def _cmd_run(args: argparse.Namespace) -> int:
     topology = parse_topology(args.topology)
-    factories = _run_factories(topology, args.pad, args.seed)
+    factories = _run_factories(topology, args.pad)
 
     if args.backend == "process":
         from repro.runtime.procshard import ProcShardConfig, run_sharded
@@ -552,23 +532,12 @@ def _chaos_sim(args, topology, profile, base,
 
 def _chaos_runtime(args, topology, profile, base) -> bool:
     """Run once on the threaded actor runtime; True = failed."""
-    from repro.operators.source_sink import GeneratorSource
-    from repro.runtime.synthetic import GainOperator, PaddedOperator
     from repro.runtime.system import RuntimeConfig, run_topology
-    from repro.testing.harness import sleep_overshoot
-
-    overshoot = sleep_overshoot()
-    factories = {}
-    for spec in topology.operators:
-        if spec.name == topology.source:
-            factories[spec.name] = lambda s=args.seed: GeneratorSource(seed=s)
-        else:
-            padding = max(spec.service_time - overshoot, 1e-4)
-            factories[spec.name] = lambda g=spec.gain, p=padding: (
-                PaddedOperator(GainOperator(g), p))
+    from repro.testing.harness import padded_factories
 
     result = run_topology(
-        topology, factories, duration=args.duration, warmup=0.0,
+        topology, padded_factories(topology, args.seed),
+        duration=args.duration, warmup=0.0,
         config=RuntimeConfig(
             mailbox_capacity=16,
             source_rate=topology.operator(topology.source).service_rate,
@@ -653,14 +622,6 @@ def _cmd_adapt(args: argparse.Namespace) -> int:
         print(f"decision log written to {args.output}")
     print(f"{len(seeds) - failed}/{len(seeds)} seeds ok")
     return 1 if failed else 0
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.bench import main as bench_main
-
-    return bench_main(output=args.output, baseline_path=args.baseline,
-                      quick=args.quick, batching_only=args.batching,
-                      sharding_only=args.sharding)
 
 
 def _cmd_memory(args: argparse.Namespace) -> int:
@@ -891,26 +852,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the controller decision logs as JSON "
                         "(shift mode; the nightly CI artifact)")
     p.set_defaults(func=_cmd_adapt)
-
-    p = sub.add_parser("bench",
-                       help="run the solver/DES microbenchmarks and "
-                            "write a BENCH_*.json baseline")
-    p.add_argument("--quick", action="store_true",
-                   help="reduced budgets (CI smoke job)")
-    p.add_argument("--batching", action="store_true",
-                   help="only the fusion/batching transport benchmarks "
-                        "(loop-compiled vs dispatched, batched vs "
-                        "unbatched mailboxes)")
-    p.add_argument("--sharding", action="store_true",
-                   help="only the threaded-vs-process benchmark on the "
-                        "GIL-bound fissioned chain (records cpu_count; "
-                        "honest on single-core hosts)")
-    p.add_argument("-o", "--output", default=None,
-                   help="write the results JSON here (e.g. BENCH_3.json)")
-    p.add_argument("--baseline", default=None,
-                   help="committed baseline JSON to gate against "
-                        "(>30%% throughput regression fails)")
-    p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("chaos",
                        help="fault-injection run: supervision events, dead "

@@ -14,8 +14,8 @@ regressions) are *observable* instead of anecdotal:
 Counters are plain ints mutated under the GIL (single bytecode
 increments), matching the concurrency story of
 :class:`repro.runtime.metrics.ActorCounters`.  ``spinstreams optimize``
-and ``spinstreams conformance`` print the snapshots; ``spinstreams
-bench`` persists them to ``BENCH_*.json``.
+and ``spinstreams conformance`` print the snapshots; ``python3 -m bench
+run`` reports the solver's as the ``core.*`` per-layer counts.
 """
 
 from __future__ import annotations

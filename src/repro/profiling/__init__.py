@@ -5,7 +5,6 @@ from repro.profiling.online import (
     OnlineEstimator,
     TickSample,
     VertexEstimate,
-    window_estimates,
 )
 from repro.profiling.profiler import (
     OperatorProfile,
@@ -23,5 +22,4 @@ __all__ = [
     "TickSample",
     "VertexEstimate",
     "profile_topology",
-    "window_estimates",
 ]

@@ -4,7 +4,7 @@ The offline profiler (:mod:`repro.profiling.profiler`) measures a run
 after the fact; the adaptive controller needs the same figures *while*
 the system runs, robust against measurement noise, and — because the
 adaptive conformance suite replays scenarios seed by seed — perfectly
-deterministic.  Three design rules make that hold:
+deterministic.  Two design rules make that hold:
 
 * **Item-count windows, not wall-clock windows.**  An estimate is a
   function of the counter deltas of the last ``window_ticks`` control
@@ -14,17 +14,13 @@ deterministic.  Three design rules make that hold:
 * **Confidence gating.**  A window backed by fewer than ``min_items``
   processed items yields an unconfident estimate; the controller keeps
   the declared figure instead of chasing noise.
-* **Explicit RNG.**  The bounded service-sample reservoir uses a
-  caller-seeded ``random.Random`` (Vitter's Algorithm R); no global
-  RNG, no hash-order dependence.
 """
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, List, Optional, Tuple
+from typing import Deque, Optional
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,6 @@ class EstimatorConfig:
     #: measurement is treated as "unchanged" (anti-thrashing: noise
     #: around the declared value never triggers a replan).
     change_threshold: float = 0.25
-    #: Bounded reservoir size for tick-level service-time samples.
-    reservoir_size: int = 64
 
     def __post_init__(self) -> None:
         if self.window_ticks < 1:
@@ -50,9 +44,6 @@ class EstimatorConfig:
         if self.change_threshold < 0.0:
             raise ValueError(
                 f"change_threshold must be >= 0, got {self.change_threshold}")
-        if self.reservoir_size < 1:
-            raise ValueError(
-                f"reservoir_size must be >= 1, got {self.reservoir_size}")
 
 
 @dataclass(frozen=True)
@@ -104,16 +95,11 @@ class OnlineEstimator:
     fed the same tick sequence agree bit for bit.
     """
 
-    def __init__(self, vertex: str, config: Optional[EstimatorConfig] = None,
-                 seed: int = 1) -> None:
+    def __init__(self, vertex: str,
+                 config: Optional[EstimatorConfig] = None) -> None:
         self.vertex = vertex
         self.config = config or EstimatorConfig()
         self._window: Deque[TickSample] = deque(maxlen=self.config.window_ticks)
-        self._rng = random.Random(seed)
-        #: Seeded reservoir of tick-level mean service times (Algorithm
-        #: R) for percentile queries over long runs at bounded memory.
-        self._reservoir: List[float] = []
-        self._reservoir_seen = 0
         #: Ticks observed over the estimator's lifetime.
         self.ticks = 0
 
@@ -127,17 +113,6 @@ class OnlineEstimator:
                 f"busy_time={busy_time})")
         self.ticks += 1
         self._window.append(TickSample(processed, emitted, busy_time))
-        if processed > 0:
-            self._offer_reservoir(busy_time / processed)
-
-    def _offer_reservoir(self, sample: float) -> None:
-        self._reservoir_seen += 1
-        if len(self._reservoir) < self.config.reservoir_size:
-            self._reservoir.append(sample)
-            return
-        slot = self._rng.randrange(self._reservoir_seen)
-        if slot < self.config.reservoir_size:
-            self._reservoir[slot] = sample
 
     def estimate(self) -> VertexEstimate:
         """The windowed belief as of the last observed tick."""
@@ -154,25 +129,8 @@ class OnlineEstimator:
             confident=processed >= self.config.min_items,
         )
 
-    def service_percentile(self, q: float) -> Optional[float]:
-        """Percentile ``q`` in [0, 1] of the reservoir's tick means."""
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"percentile must be in [0, 1], got {q}")
-        if not self._reservoir:
-            return None
-        ordered = sorted(self._reservoir)
-        index = min(len(ordered) - 1, int(q * len(ordered)))
-        return ordered[index]
-
     def reset(self) -> None:
         """Forget the window (after a reconfiguration changed the
         regime the window measured — old ticks would pollute the new
         steady state)."""
         self._window.clear()
-
-
-def window_estimates(
-    estimators: "dict[str, OnlineEstimator]",
-) -> Tuple[VertexEstimate, ...]:
-    """All estimators' current beliefs, in sorted vertex order."""
-    return tuple(estimators[name].estimate() for name in sorted(estimators))

@@ -71,8 +71,6 @@ class AdaptiveConfig:
     cooldown_ticks: int = 3
     #: Replica budget handed to the re-solve (``None`` = unbounded).
     max_replicas: Optional[int] = None
-    #: Seed for the estimators' reservoirs.
-    seed: int = 1
     #: Escape hatch for the SS314 deployment-safety gate: ``True``
     #: allows a zero-tick cooldown (replans faster than one control
     #: period can measure).
@@ -215,10 +213,8 @@ class AdaptiveController(threading.Thread):
             name for name in system.scalable_vertices()
             if name != topology.source and name in topology)
         self.estimators: Dict[str, OnlineEstimator] = {
-            spec.name: OnlineEstimator(
-                spec.name, self.config.estimator,
-                seed=self.config.seed + index)
-            for index, spec in enumerate(topology.operators)
+            spec.name: OnlineEstimator(spec.name, self.config.estimator)
+            for spec in topology.operators
             if spec.name != topology.source
         }
         #: Full decision log, one entry per tick (artifact material).

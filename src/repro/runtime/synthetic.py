@@ -57,8 +57,8 @@ class BusyOperator(Operator):
     time is realized as a spin loop instead of a sleep, so concurrent
     threaded replicas serialize on one core while process-sharded
     replicas scale with the hardware.  This is the workload the
-    ``spinstreams bench --sharding`` suite uses to measure what the
-    multi-process backend actually buys.
+    ``shards_cpu`` / ``shards_ipc`` benchmark workloads use to measure
+    what the multi-process backend actually buys.
     """
 
     def __init__(self, busy_time: float) -> None:

@@ -118,12 +118,11 @@ class AdaptiveScenarioConfig:
     #: Post-warmup ticks of the stationary (negative-control) check.
     stationary_ticks: int = 5
 
-    def adaptive_config(self, seed: int) -> AdaptiveConfig:
+    def adaptive_config(self) -> AdaptiveConfig:
         return AdaptiveConfig(
             control_period=self.control_period,
             estimator=self.estimator,
             cooldown_ticks=self.cooldown_ticks,
-            seed=seed,
         )
 
 
@@ -225,7 +224,7 @@ def build_scenario(seed: int,
     )
     system = ActorSystem.build(topology, factories, config=runtime)
     controller = AdaptiveController(system, topology,
-                                    scenario.adaptive_config(seed))
+                                    scenario.adaptive_config())
     return _Scenario(
         topology=topology,
         system=system,

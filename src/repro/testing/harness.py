@@ -339,6 +339,26 @@ def sleep_overshoot() -> float:
     return _SLEEP_OVERSHOOT
 
 
+def padded_factories(topology: Topology, seed: int) -> dict:
+    """Operator factories of the wall-clock checks: a seeded
+    ``GeneratorSource`` and, for every other vertex, its gain realized
+    deterministically and sleep-padded to the declared service time
+    less this host's :func:`sleep_overshoot`."""
+    from repro.operators.source_sink import GeneratorSource
+    from repro.runtime.synthetic import GainOperator, PaddedOperator
+
+    overshoot = sleep_overshoot()
+    factories = {}
+    for spec in topology.operators:
+        if spec.name == topology.source:
+            factories[spec.name] = lambda s=seed: GeneratorSource(seed=s)
+        else:
+            padding = max(spec.service_time - overshoot, 1e-4)
+            factories[spec.name] = lambda g=spec.gain, p=padding: (
+                PaddedOperator(GainOperator(g), p))
+    return factories
+
+
 def check_runtime_seed(
     seed: int,
     config: Optional[ConformanceConfig] = None,
@@ -352,8 +372,6 @@ def check_runtime_seed(
     skipped: sleep padding and GIL scheduling distort busy-time
     accounting (and the source's pacing sleeps are not busy time).
     """
-    from repro.operators.source_sink import GeneratorSource
-    from repro.runtime.synthetic import GainOperator, PaddedOperator
     from repro.runtime.system import RuntimeConfig, run_topology
 
     config = config or ConformanceConfig()
@@ -361,15 +379,7 @@ def check_runtime_seed(
                                  generator=config.runtime_generator_config())
     predicted = analyze_cached(topology)
 
-    overshoot = sleep_overshoot()
-    factories = {}
-    for spec in topology.operators:
-        if spec.name == topology.source:
-            factories[spec.name] = lambda s=seed: GeneratorSource(seed=s)
-        else:
-            padding = max(spec.service_time - overshoot, 1e-4)
-            factories[spec.name] = lambda g=spec.gain, p=padding: (
-                PaddedOperator(GainOperator(g), p))
+    factories = padded_factories(topology, seed)
 
     runtime_config = RuntimeConfig(
         mailbox_capacity=config.runtime_mailbox_capacity,
@@ -426,24 +436,14 @@ def check_process_seed(
     process surviving teardown, and no shard-level failure (crashed
     channel, drain timeout, lost report).
     """
-    from repro.operators.source_sink import GeneratorSource
     from repro.runtime.procshard import ProcShardConfig, run_sharded
-    from repro.runtime.synthetic import GainOperator, PaddedOperator
 
     config = config or ConformanceConfig()
     topology = topology_for_seed(seed, config,
                                  generator=config.runtime_generator_config())
     predicted = analyze_cached(topology)
 
-    overshoot = sleep_overshoot()
-    factories = {}
-    for spec in topology.operators:
-        if spec.name == topology.source:
-            factories[spec.name] = lambda s=seed: GeneratorSource(seed=s)
-        else:
-            padding = max(spec.service_time - overshoot, 1e-4)
-            factories[spec.name] = lambda g=spec.gain, p=padding: (
-                PaddedOperator(GainOperator(g), p))
+    factories = padded_factories(topology, seed)
 
     proc_config = ProcShardConfig(
         shards=config.process_shards,
@@ -517,8 +517,6 @@ def check_chaos_runtime_seed(
     (loose) ``config.chaos_runtime_tolerances``.  Escalations, watchdog
     verdicts and leaked threads are hard failures regardless of rates.
     """
-    from repro.operators.source_sink import GeneratorSource
-    from repro.runtime.synthetic import GainOperator, PaddedOperator
     from repro.runtime.system import RuntimeConfig, run_topology
 
     config = config or ConformanceConfig()
@@ -528,15 +526,7 @@ def check_chaos_runtime_seed(
     items = max(int(base.throughput * config.runtime_duration), 50)
     profile = chaos_profile(topology, seed, config.chaos_faults, items=items)
 
-    overshoot = sleep_overshoot()
-    factories = {}
-    for spec in topology.operators:
-        if spec.name == topology.source:
-            factories[spec.name] = lambda s=seed: GeneratorSource(seed=s)
-        else:
-            padding = max(spec.service_time - overshoot, 1e-4)
-            factories[spec.name] = lambda g=spec.gain, p=padding: (
-                PaddedOperator(GainOperator(g), p))
+    factories = padded_factories(topology, seed)
 
     runtime_config = RuntimeConfig(
         mailbox_capacity=config.runtime_mailbox_capacity,

@@ -153,8 +153,8 @@ class TestOnlineEstimator:
 
     def test_identical_tick_sequences_agree_bit_for_bit(self):
         ticks = [(12, 24, 0.06), (8, 16, 0.04), (20, 40, 0.10)]
-        a = OnlineEstimator("v", self.CONFIG, seed=9)
-        b = OnlineEstimator("v", self.CONFIG, seed=9)
+        a = OnlineEstimator("v", self.CONFIG)
+        b = OnlineEstimator("v", self.CONFIG)
         for processed, emitted, busy in ticks:
             a.observe(processed, emitted, busy)
             b.observe(processed, emitted, busy)

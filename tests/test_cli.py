@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.cli import main
+from repro.cli import build_parser, main
 from repro.topology.xmlio import parse_topology, write_topology
 from tests.conftest import make_fig11, make_pipeline
 
@@ -185,6 +185,22 @@ class TestMemory:
     def test_bytes_per_item_flag(self, fig11_xml, capsys):
         assert main(["memory", fig11_xml, "--bytes-per-item", "1000"]) == 0
         assert "1000 bytes/item" in capsys.readouterr().out
+
+
+class TestSubcommands:
+    def test_bench_is_not_a_subcommand(self, capsys):
+        """The repository's one benchmark is ``python3 -m bench``."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["bench"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'bench'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["profile", "run"])
+    def test_operator_without_class_is_refused(self, command, fig11_xml,
+                                               capsys):
+        assert main([command, fig11_xml]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: operator 'op1' has no class to run")
 
 
 class TestConformance:

@@ -1,4 +1,5 @@
-"""Guard the README quickstart: the documented snippet must keep working."""
+"""Guard the docs: the README quickstart must keep working, and every
+repository path the docs cite must exist."""
 
 import math
 import re
@@ -6,7 +7,13 @@ from pathlib import Path
 
 import pytest
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+
+#: A backticked repository path: contains a ``/`` or starts ``BENCH``,
+#: ends in a source/data suffix.
+CITED_PATH = re.compile(
+    r"`((?:[\w.\-]+/[\w./\-]*|BENCH[\w.\-]*)\.(?:py|json|xml|md|yml|toml))`")
 
 
 def python_blocks(text):
@@ -60,3 +67,18 @@ class TestReadme:
         for command in re.findall(r"^spinstreams (\w+)", text, re.MULTILINE):
             assert command in subcommands, f"README references unknown " \
                                            f"subcommand {command!r}"
+
+    @pytest.mark.parametrize(
+        "doc", ["README.md", "DESIGN.md", ".claude/skills/verify/SKILL.md"])
+    def test_cited_paths_exist(self, doc):
+        """Deleting or renaming a file without its citations fails here."""
+        text = (ROOT / doc).read_text(encoding="utf-8")
+        cited = set(CITED_PATH.findall(text))
+        assert cited, f"{doc} cites no repository path: the pattern rotted"
+        missing = sorted(c for c in cited if not (ROOT / c).exists())
+        assert not missing, f"{doc} cites files that do not exist: {missing}"
+
+    def test_readme_names_the_benchmark(self):
+        text = README.read_text(encoding="utf-8")
+        assert "python3 -m bench" in text
+        assert "BENCHMARK.json" in text
