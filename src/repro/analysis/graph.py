@@ -48,7 +48,7 @@ from typing import Dict, List, Optional, Union
 
 from repro.analysis.diagnostics import (Diagnostic, LintReport, Severity,
                                         register_rules)
-from repro.core.graph import StateKind, Topology, TopologyError
+from repro.core.graph import StateKind, Topology, TopologyError, key_mass
 from repro.topology.xmlio import DraftEdge, DraftOperator, TopologyDraft
 
 GRAPH_RULES = tuple(f"SS1{i:02d}" for i in range(1, 17))
@@ -87,7 +87,8 @@ def draft_of(topology: Topology) -> TopologyDraft:
             input_selectivity=spec.input_selectivity,
             output_selectivity=spec.output_selectivity,
             replication=spec.replication,
-            key_frequencies=(dict(spec.keys.frequencies)
+            # Shared, not copied: verification never mutates a draft.
+            key_frequencies=(spec.keys.frequencies
                              if spec.keys is not None else None),
             operator_class=spec.operator_class,
             operator_args=dict(spec.operator_args),
@@ -147,11 +148,7 @@ def verify_graph(
                  "partitioned-stateful operator has no key distribution "
                  "(fission cannot partition its state)", op.name)
         if op.key_frequencies is not None:
-            # min() skips a NaN that follows a smaller value, but then
-            # every value is positive or NaN and the sum is NaN.
-            values = op.key_frequencies.values()
-            total = (math.fsum(values) if min(values, default=1.0) > 0.0
-                     else math.nan)
+            total = key_mass(op.key_frequencies)
             if math.isnan(total):
                 bad = sorted(k for k, f in op.key_frequencies.items()
                              if math.isnan(f) or f <= 0.0)
@@ -241,12 +238,30 @@ def verify_graph(
                      "operator not reachable from the source", name)
 
             # -- cycle rules (SS114, SS115): only on structurally sound,
-            # numerically sane graphs (the checks need a solvable model).
-            if not any(d.severity is Severity.ERROR for d in findings):
+            # numerically sane graphs (the checks need a solvable model)
+            # that have a cycle at all.
+            if (not any(d.severity is Severity.ERROR for d in findings)
+                    and _has_cycle(incoming, adjacency)):
                 findings.extend(_cycle_rules(draft, source_rate, location))
 
     return LintReport(diagnostics=tuple(findings),
                       subject_name=draft.name, passes=("graph",))
+
+
+def _has_cycle(incoming: Dict[str, int],
+               adjacency: Dict[str, List[str]]) -> bool:
+    """Whether the edge graph has a directed cycle (Kahn's algorithm:
+    some vertex is never freed of in-edges)."""
+    remaining = dict(incoming)
+    ready = [name for name, degree in remaining.items() if degree == 0]
+    freed = 0
+    while ready:
+        freed += 1
+        for target in adjacency[ready.pop()]:
+            remaining[target] -= 1
+            if remaining[target] == 0:
+                ready.append(target)
+    return freed < len(remaining)
 
 
 def _cycle_rules(draft: TopologyDraft, source_rate: Optional[float],
@@ -259,8 +274,6 @@ def _cycle_rules(draft: TopologyDraft, source_rate: Optional[float],
                             [e.build() for e in draft.edges],
                             name=draft.name)
     except TopologyError:
-        return []
-    if not graph.cycles_exist():
         return []
 
     findings: List[Diagnostic] = []

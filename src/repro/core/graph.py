@@ -66,6 +66,24 @@ class TopologyError(ValueError):
 META_OPERATOR_CLASS = "repro.runtime.meta.MetaOperator"
 
 
+def key_mass(frequencies: Mapping[str, float]) -> float:
+    """The exactly rounded sum of a key-frequency map, or NaN when a
+    frequency is not positive.
+
+    The one mass rule: :class:`KeyDistribution` and lint rule SS113
+    both accept a map exactly when this is within 1e-6 of one.
+    """
+    values = frequencies.values()
+    # min() skips a NaN that follows a smaller value, but then every
+    # value is positive or NaN and the sum is NaN.
+    if not min(values, default=1.0) > 0.0:
+        return math.nan
+    try:
+        return math.fsum(values)
+    except OverflowError:  # finite terms whose partial sums overflow
+        return math.inf
+
+
 @dataclass(frozen=True)
 class KeyDistribution:
     """Frequency distribution of the partitioning key of an operator.
@@ -87,13 +105,13 @@ class KeyDistribution:
     def __post_init__(self) -> None:
         if not self.frequencies:
             raise TopologyError("key distribution must contain at least one key")
-        total = 0.0
+        total = key_mass(self.frequencies)
+        if math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
+            return
         for key, freq in self.frequencies.items():
             if freq <= 0.0:
                 raise TopologyError(f"key {key!r} has non-positive frequency {freq}")
-            total += freq
-        if not math.isclose(total, 1.0, rel_tol=0.0, abs_tol=1e-6):
-            raise TopologyError(f"key frequencies must sum to 1, got {total}")
+        raise TopologyError(f"key frequencies must sum to 1, got {total}")
 
     def __getstate__(self) -> Dict[str, object]:
         # Fields only: a receiving process recomputes what it needs.

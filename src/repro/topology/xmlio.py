@@ -41,6 +41,17 @@ with an :class:`XmlFormatError` naming the offending operator or edge;
 renormalized and invalid capacities dropped, mirroring what
 :func:`repro.testing.shrink.shrink` does to keep reduced topologies
 well-formed.
+
+The lexical phase is one streaming :mod:`xml.parsers.expat` pass.  The
+key distributions are almost all of a testbed file (335 k of the
+50-topology testbed's elements are ``<key>``), so a ``<key>`` inside
+``<keys>`` never becomes a node: its start event puts ``id ->
+float(probability)`` straight into the operator's frequency map, and
+the first child that cannot go there is kept to be reported in document
+order.  Every other element becomes a minimal node that the
+``_parse_*`` helpers walk.  Markup errors read ``invalid XML: <expat
+message>`` and namespaced tags ``{uri}tag``, ElementTree's spellings;
+ElementTree itself only serializes (:func:`topology_to_xml`).
 """
 
 from __future__ import annotations
@@ -50,7 +61,8 @@ import math
 import os
 import xml.etree.ElementTree as ET
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
+from xml.parsers import expat
 
 from repro.core.graph import (
     BatchConfig,
@@ -316,10 +328,7 @@ def parse_draft(source: Union[str, "os.PathLike[str]"],
     violations survive into the draft for the static verifier.
     """
     text, directory = _read_source(source, base_dir)
-    try:
-        root = ET.fromstring(text)
-    except ET.ParseError as exc:
-        raise XmlFormatError(f"invalid XML: {exc}") from exc
+    root = _read_tree(text)
     if root.tag != "topology":
         raise XmlFormatError(f"root element must be <topology>, got <{root.tag}>")
 
@@ -372,7 +381,86 @@ def _read_source(source: Union[str, "os.PathLike[str]"],
         ) from None
 
 
-def _require(element: ET.Element, attribute: str) -> str:
+class _Element:
+    """An element as the ``_parse_*`` helpers read it: ``tag``, ``get``
+    and iteration over the children.
+
+    The ``<key>`` children of a ``<keys>`` element are not nodes: they
+    are read straight into ``keys``, an ``{id: probability}`` map in
+    document order, and the first child that cannot go there (another
+    tag, a missing attribute, an unparseable probability) is kept as
+    ``first_bad`` for :func:`_parse_keys` to report.
+    """
+
+    __slots__ = ("tag", "attrib", "children", "keys", "first_bad")
+
+    def __init__(self, tag: str, attrib: Dict[str, str]) -> None:
+        self.tag = tag
+        self.attrib = attrib
+        self.children: List[_Element] = []
+        self.keys: Optional[Dict[str, float]] = {} if tag == "keys" else None
+        self.first_bad: Optional[_Element] = None
+
+    def get(self, attribute: str, default: Optional[str] = None) -> Optional[str]:
+        return self.attrib.get(attribute, default)
+
+    def __iter__(self) -> Iterator["_Element"]:
+        return iter(self.children)
+
+
+def _read_tree(text: str) -> _Element:
+    """The root element of ``text``, read in one expat pass."""
+    parser = expat.ParserCreate(None, "}")
+    document = _Element("", {})
+    # Adopts whatever a <key> contains, which nothing reads.
+    ignored = _Element("", {})
+    stack = [document]
+    push, pop = stack.append, stack.pop
+
+    def start(tag: str, attrib: Dict[str, str]) -> None:
+        parent = stack[-1]
+        keys = parent.keys
+        if keys is not None and tag == "key":
+            if parent.first_bad is None:
+                try:
+                    keys[attrib["id"]] = float(attrib["probability"])
+                except (KeyError, ValueError):
+                    parent.first_bad = _Element(tag, attrib)
+            push(ignored)
+            return
+        if "}" in tag:
+            # expat joins a namespace and a local name as ``uri}name``;
+            # ElementTree's spelling, which messages use, is ``{uri}name``.
+            tag = "{" + tag
+        node = _Element(tag, attrib)
+        if keys is not None and parent.first_bad is None:
+            parent.first_bad = node
+        parent.children.append(node)
+        push(node)
+
+    def end(tag: str) -> None:
+        pop()
+
+    def skipped(entity: str, is_parameter_entity: bool) -> None:
+        # An entity the parser could not expand because its declaration
+        # sits in an external DTD, which is never read.
+        if not is_parameter_entity:
+            raise XmlFormatError(
+                f"invalid XML: undefined entity &{entity};: line "
+                f"{parser.CurrentLineNumber}, column "
+                f"{parser.CurrentColumnNumber}")
+
+    parser.StartElementHandler = start
+    parser.EndElementHandler = end
+    parser.SkippedEntityHandler = skipped
+    try:
+        parser.Parse(text, True)
+    except expat.ExpatError as exc:
+        raise XmlFormatError(f"invalid XML: {exc}") from exc
+    return document.children[0]
+
+
+def _require(element: _Element, attribute: str) -> str:
     value = element.get(attribute)
     if value is None:
         raise XmlFormatError(
@@ -381,7 +469,7 @@ def _require(element: ET.Element, attribute: str) -> str:
     return value
 
 
-def _parse_operator(element: ET.Element, directory: str) -> DraftOperator:
+def _parse_operator(element: _Element, directory: str) -> DraftOperator:
     name = _require(element, "name")
     unit = element.get("time-unit", "ms")
     try:
@@ -447,40 +535,33 @@ def _parse_operator(element: ET.Element, directory: str) -> DraftOperator:
     )
 
 
-def _parse_keys(element: ET.Element, operator: str,
+def _parse_keys(element: _Element, operator: str,
                 directory: str) -> Dict[str, float]:
     file_ref = element.get("file")
     if file_ref is not None:
         path = file_ref if os.path.isabs(file_ref) else os.path.join(
             directory, file_ref)
         return _read_key_frequencies(path)
-    frequencies: Dict[str, float] = {}
-    for child in element:
+    child = element.first_bad
+    if child is not None:
         if child.tag != "key":
             raise XmlFormatError(
                 f"operator {operator!r}: unexpected element <{child.tag}> "
                 "inside <keys>"
             )
-        key_id = child.get("id")
-        raw_probability = child.get("probability")
-        if key_id is None or raw_probability is None:
-            # One of these raises, naming the missing attribute.
-            _require(child, "id")
-            _require(child, "probability")
-        try:
-            frequencies[key_id] = float(raw_probability)
-        except ValueError:
-            raise XmlFormatError(
-                f"operator {operator!r}: bad probability for key {key_id!r}"
-            ) from None
-    if not frequencies:
+        _require(child, "id")
+        _require(child, "probability")
+        raise XmlFormatError(
+            f"operator {operator!r}: bad probability for key "
+            f"{child.get('id')!r}")
+    if not element.keys:
         raise XmlFormatError(
             f"operator {operator!r}: <keys> needs a file or <key> children"
         )
-    return frequencies
+    return element.keys
 
 
-def _parse_checkpoint(element: ET.Element) -> DraftCheckpoint:
+def _parse_checkpoint(element: _Element) -> DraftCheckpoint:
     raw_interval = _require(element, "interval-items")
     try:
         interval_items = int(raw_interval)
@@ -506,7 +587,7 @@ def _parse_checkpoint(element: ET.Element) -> DraftCheckpoint:
                            snapshot_overhead=snapshot_overhead)
 
 
-def _parse_latency_budget(element: ET.Element) -> float:
+def _parse_latency_budget(element: _Element) -> float:
     """``<latency-budget value="250" time-unit="ms"/>`` in seconds."""
     raw_value = _require(element, "value")
     unit = element.get("time-unit", "ms")
@@ -521,7 +602,7 @@ def _parse_latency_budget(element: ET.Element) -> float:
         raise XmlFormatError("latency-budget: bad value") from None
 
 
-def _parse_edge(element: ET.Element) -> DraftEdge:
+def _parse_edge(element: _Element) -> DraftEdge:
     source = _require(element, "from")
     target = _require(element, "to")
     try:
@@ -563,13 +644,25 @@ def _parse_edge(element: ET.Element) -> DraftEdge:
 
 def _read_key_frequencies(path: str) -> Dict[str, float]:
     frequencies: Dict[str, float] = {}
-    with open(path, "r", encoding="utf-8", newline="") as handle:
-        for row in csv.reader(handle):
+    try:
+        handle = open(path, "r", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise XmlFormatError(
+            f"cannot read key file {path!r}: {exc.strerror}") from None
+    with handle:
+        rows = csv.reader(handle)
+        for row in rows:
             if not row or row[0].startswith("#"):
                 continue
             if len(row) != 2:
                 raise XmlFormatError(f"{path}: expected 'key,probability' rows")
-            frequencies[row[0].strip()] = float(row[1])
+            key = row[0].strip()
+            try:
+                frequencies[key] = float(row[1])
+            except ValueError:
+                raise XmlFormatError(
+                    f"{path}: row {rows.line_num}: bad probability "
+                    f"{row[1]!r} for key {key!r}") from None
     if not frequencies:
         raise XmlFormatError(f"{path}: empty key distribution")
     return frequencies

@@ -21,6 +21,27 @@ def bottlenecked_xml(tmp_path):
     return str(path)
 
 
+class TestLint:
+    @pytest.mark.parametrize("rows, message", [
+        ("k0,0.5\nk1,abc\n", "{csv}: row 2: bad probability 'abc' for key 'k1'"),
+        (None, "cannot read key file '{csv}': No such file or directory"),
+    ], ids=["bad-row", "missing-file"])
+    def test_bad_key_file_is_a_one_line_error(self, rows, message, tmp_path,
+                                              capsys):
+        csv_path = tmp_path / "keys.csv"
+        if rows is not None:
+            csv_path.write_text(rows)
+        xml_path = tmp_path / "topo.xml"
+        xml_path.write_text(
+            '<topology><operator name="a" service-time="1" '
+            'type="partitioned"><keys file="keys.csv"/></operator>'
+            "</topology>")
+        assert main(["lint", str(xml_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message.format(csv=csv_path)}\n"
+
+
 class TestAnalyze:
     def test_basic(self, fig11_xml, capsys):
         assert main(["analyze", fig11_xml]) == 0

@@ -4,11 +4,15 @@ import math
 import os
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.lint import lint_topology
 from repro.core.graph import KeyDistribution, OperatorSpec, StateKind
 from repro.topology.random_gen import generate_testbed
 from repro.topology.xmlio import (
     XmlFormatError,
+    parse_draft,
     parse_topology,
     read_key_distribution,
     topology_to_xml,
@@ -177,6 +181,153 @@ class TestParsingErrors:
             parse_topology("definitely_not_here.xml")
 
 
+_OPERATOR = '<operator name="a" service-time="1" type="partitioned">{}</operator>'
+_TWO_KEYS = ('<key id="k0" probability="0.25"/>'
+             '<key id="k1" probability="0.75"/>')
+
+
+def _in_operator(body, prolog=""):
+    return f'{prolog}<topology name="t">{_OPERATOR.format(body)}</topology>'
+
+
+#: name -> (document, outcome).  The outcome is the draft's name and
+#: ``(operator, key items in order, args)`` per operator, or the
+#: XmlFormatError text.  Every outcome was recorded from the
+#: ElementTree-based reader this streaming reader replaced.
+READER_PARITY = {
+    "plain": (
+        _in_operator(f"<keys>{_TWO_KEYS}</keys>"),
+        ("t", [("a", [("k0", 0.25), ("k1", 0.75)], {})])),
+    "latin1-declaration": (
+        _in_operator('<keys><key id="clé" probability="1"/></keys>',
+                     '<?xml version="1.0" encoding="ISO-8859-1"?>'),
+        ("t", [("a", [("clé", 1.0)], {})])),
+    "utf8-declaration": (
+        _in_operator('<keys><key id="clé" probability="1"/></keys>',
+                     '<?xml version="1.0" encoding="UTF-8"?>\n'),
+        ("t", [("a", [("clé", 1.0)], {})])),
+    "comment-and-text-in-keys": (
+        _in_operator(f"<keys><!-- hot keys first -->\n  text {_TWO_KEYS} "
+                     "tail</keys>"),
+        ("t", [("a", [("k0", 0.25), ("k1", 0.75)], {})])),
+    "child-inside-key": (
+        _in_operator('<keys><key id="k0" probability="0.25"><note/></key>'
+                     '<key id="k1" probability="0.75">'
+                     '<key id="x" probability="x"/></key></keys>'),
+        ("t", [("a", [("k0", 0.25), ("k1", 0.75)], {})])),
+    "escaped-and-non-ascii-ids": (
+        _in_operator('<keys><key id="a&amp;b" probability="0.5"/>'
+                     '<key id="ключ" probability="0.25"/>'
+                     '<key id="caf&#233;" probability="0.25"/></keys>'),
+        ("t", [("a", [("a&b", 0.5), ("ключ", 0.25), ("café", 0.25)], {})])),
+    "internal-doctype-entity": (
+        _in_operator('<keys><key id="&hot;" probability="&half;"/>'
+                     '<key id="cold" probability="0.5"/></keys>',
+                     '<!DOCTYPE topology [<!ENTITY half "0.5">'
+                     '<!ENTITY hot "k-hot">]>'),
+        ("t", [("a", [("k-hot", 0.5), ("cold", 0.5)], {})])),
+    "probability-before-id": (
+        _in_operator('<keys><key probability="0.25" id="k0"/>'
+                     '<key probability="0.75" id="k1"/></keys>'),
+        ("t", [("a", [("k0", 0.25), ("k1", 0.75)], {})])),
+    "duplicate-key-id": (
+        _in_operator('<keys><key id="k0" probability="0.1"/>'
+                     '<key id="k1" probability="0.5"/>'
+                     '<key id="k0" probability="0.5"/></keys>'),
+        ("t", [("a", [("k0", 0.5), ("k1", 0.5)], {})])),
+    "keys-inside-arg-ignored": (
+        '<topology name="t"><operator name="a" service-time="1">'
+        '<arg name="x" value="1"><keys><key id="k" probability="x"/></keys>'
+        "</arg></operator></topology>",
+        ("t", [("a", None, {"x": "1"})])),
+    "key-outside-keys": (
+        _in_operator('<key id="k0" probability="1"/>'),
+        "operator 'a': unexpected element <key>"),
+    "missing-id": (
+        _in_operator('<keys><key probability="1"/></keys>'),
+        "<key> is missing required attribute 'id'"),
+    "probability-x": (
+        _in_operator('<keys><key id="k0" probability="x"/></keys>'),
+        "operator 'a': bad probability for key 'k0'"),
+    "empty-keys": (
+        _in_operator("<keys></keys>"),
+        "operator 'a': <keys> needs a file or <key> children"),
+    "keys-with-only-a-comment": (
+        _in_operator("<keys><!-- none --></keys>"),
+        "operator 'a': <keys> needs a file or <key> children"),
+    "namespaced-key-attribute": (
+        _in_operator('<keys xmlns:n="urn:n"><key n:id="k0" probability="1"/>'
+                     "</keys>"),
+        "<key> is missing required attribute 'id'"),
+    "namespaced-key-tag": (
+        _in_operator('<keys xmlns:n="urn:n">'
+                     '<n:key id="k0" probability="1"/></keys>'),
+        "operator 'a': unexpected element <{urn:n}key> inside <keys>"),
+    "first-bad-key-wins": (
+        _in_operator('<keys><key id="k0" probability="x"/><hotkey/></keys>'),
+        "operator 'a': bad probability for key 'k0'"),
+    "first-bad-child-wins": (
+        _in_operator('<keys><hotkey/><key id="k0" probability="x"/></keys>'),
+        "operator 'a': unexpected element <hotkey> inside <keys>"),
+    "service-time-before-keys": (
+        '<topology><operator name="a" service-time="soon">'
+        '<keys><key id="k0" probability="x"/></keys></operator></topology>',
+        "operator 'a': bad service-time"),
+    "earlier-operator-first": (
+        '<topology><operator name="a" service-time="1">'
+        '<keys><key id="k0" probability="x"/></keys></operator>'
+        '<operator name="b"/></topology>',
+        "operator 'a': bad probability for key 'k0'"),
+    "wrong-root": (
+        "<graph/>",
+        "root element must be <topology>, got <graph>"),
+    "namespaced-root": (
+        '<topology xmlns="urn:x"/>',
+        "root element must be <topology>, got <{urn:x}topology>"),
+    "two-roots": (
+        "<topology/><topology/>",
+        "invalid XML: junk after document element: line 1, column 11"),
+    "unclosed-token": (
+        "<topology",
+        "invalid XML: unclosed token: line 1, column 0"),
+    "mismatched-tag": (
+        "<topology><operator></topology>",
+        "invalid XML: mismatched tag: line 1, column 22"),
+    "undefined-entity": (
+        "<topology>&nope;</topology>",
+        "invalid XML: undefined entity: line 1, column 10"),
+    "external-dtd-undefined-entity": (
+        '<!DOCTYPE topology SYSTEM "topology.dtd"><topology>&nope;'
+        "</topology>",
+        "invalid XML: undefined entity &nope;: line 1, column 51"),
+}
+
+
+@pytest.mark.parametrize("case", READER_PARITY)
+def test_reader_parity(case):
+    document, expected = READER_PARITY[case]
+    try:
+        draft = parse_draft(document)
+    except XmlFormatError as exc:
+        outcome = str(exc)
+    else:
+        outcome = (draft.name, [
+            (op.name,
+             None if op.key_frequencies is None
+             else list(op.key_frequencies.items()),
+             op.operator_args)
+            for op in draft.operators])
+    assert outcome == expected
+
+
+def _structure(topology):
+    """Everything a topology holds, keys in order (Topology has no ==)."""
+    return (topology.name, topology.checkpoint, topology.latency_budget,
+            topology.operators, topology.edges,
+            [list(spec.keys.items()) for spec in topology.operators
+             if spec.keys is not None])
+
+
 class TestRoundTrip:
     def test_fig11_round_trip(self):
         original = make_fig11()
@@ -206,6 +357,16 @@ class TestRoundTrip:
                 if spec.keys is not None:
                     assert dict(twin.keys.frequencies) == pytest.approx(
                         dict(spec.keys.frequencies))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_testbed_topology_round_trips_to_an_equal_one(self, seed):
+        # Seconds, not the default milliseconds: the ms scaling moves a
+        # service time by an ulp now and then, which is the serializer's
+        # rounding, not the reader's.
+        topology = generate_testbed(1, seed=seed)[0]
+        parsed = parse_topology(topology_to_xml(topology, time_unit="s"))
+        assert _structure(parsed) == _structure(topology)
 
     def test_write_and_parse_file(self, tmp_path):
         path = tmp_path / "topo.xml"
@@ -293,6 +454,38 @@ class TestKeyFiles:
         path.write_text("# nothing\n")
         with pytest.raises(XmlFormatError, match="empty"):
             read_key_distribution(str(path))
+
+    @staticmethod
+    def _referencing(tmp_path, file_ref):
+        xml_path = tmp_path / "topo.xml"
+        xml_path.write_text(
+            '<topology><operator name="a" service-time="1" '
+            f'type="partitioned"><keys file="{file_ref}"/></operator>'
+            "</topology>")
+        return str(xml_path)
+
+    def test_unparseable_probability_names_path_row_and_key(self, tmp_path):
+        path = tmp_path / "keys.csv"
+        path.write_text("# key,probability\nk0,0.5\nk1,abc\n")
+        expected = f"{path}: row 3: bad probability 'abc' for key 'k1'"
+        with pytest.raises(XmlFormatError) as direct:
+            read_key_distribution(str(path))
+        assert str(direct.value) == expected
+        xml_path = self._referencing(tmp_path, "keys.csv")
+        with pytest.raises(XmlFormatError) as parsed:
+            parse_topology(xml_path)
+        assert str(parsed.value) == expected
+        with pytest.raises(XmlFormatError) as linted:
+            lint_topology(xml_path)
+        assert str(linted.value) == expected
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        xml_path = self._referencing(tmp_path, "absent.csv")
+        missing = os.path.join(str(tmp_path), "absent.csv")
+        with pytest.raises(XmlFormatError) as excinfo:
+            parse_topology(xml_path)
+        assert str(excinfo.value) == (
+            f"cannot read key file {missing!r}: No such file or directory")
 
 
 class TestCheckpointElement:
