@@ -163,7 +163,8 @@ class Router:
 
     def __init__(self, origin: str, seed: int = 1) -> None:
         self.origin = origin
-        self._entries: List[Tuple[float, Target]] = []
+        #: Downstream endpoints in edge order; empty for a sink.
+        self.targets: List[Target] = []
         self._cumulative: List[float] = []
         self._by_name: Dict[str, Target] = {}
         self._rng = random.Random(seed)
@@ -172,42 +173,36 @@ class Router:
         self.counts: Dict[str, int] = {}
 
     def add(self, probability: float, target: Target) -> None:
-        self._entries.append((probability, target))
+        self.targets.append(target)
         total = (self._cumulative[-1] if self._cumulative else 0.0) + probability
         self._cumulative.append(total)
         self._by_name[target.name] = target
         self.counts.setdefault(target.name, 0)
 
-    @property
-    def targets(self) -> List[Target]:
-        return [target for _, target in self._entries]
-
     def resolve(self, output: Any) -> Optional[Target]:
         """The target of one output, or ``None`` for sinks' outputs."""
-        target = self._resolve(output)
-        if target is not None:
-            self.counts[target.name] = self.counts.get(target.name, 0) + 1
-        return target
-
-    def _resolve(self, output: Any) -> Optional[Target]:
+        targets = self.targets
         pinned = destination_of(output)
         if pinned is not None:
             try:
-                return self._by_name[pinned]
+                target = self._by_name[pinned]
             except KeyError:
                 raise KeyError(
                     f"operator {self.origin!r} pinned unknown destination "
                     f"{pinned!r}"
                 ) from None
-        if not self._entries:
+        elif len(targets) == 1:
+            target = targets[0]
+        elif not targets:
             return None
-        if len(self._entries) == 1:
-            return self._entries[0][1]
-        draw = self._rng.random() * self._cumulative[-1]
-        for index, bound in enumerate(self._cumulative):
-            if draw < bound:
-                return self._entries[index][1]
-        return self._entries[-1][1]
+        else:
+            draw = self._rng.random() * self._cumulative[-1]
+            for index, bound in enumerate(self._cumulative):
+                if draw < bound:
+                    break
+            target = targets[index]  # the last one if no bound was hit
+        self.counts[target.name] = self.counts.get(target.name, 0) + 1
+        return target
 
     def state(self) -> Dict[str, Any]:
         """Snapshot of the routing state (RNG position, edge counts)."""
@@ -249,6 +244,10 @@ class RetireNotice:
 
     def __init__(self) -> None:
         self.done = threading.Event()
+
+
+#: In-band control envelopes; everything else in a mailbox is data.
+_CONTROL = (Barrier, MigrationTicket, ScaleDirective, RetireNotice)
 
 
 class ActorBase(threading.Thread):
@@ -295,7 +294,7 @@ class ActorBase(threading.Thread):
             self.on_start()
             while True:
                 try:
-                    message = inbox.get(timeout=_IDLE_POLL_SECONDS)
+                    queue = inbox.get_all(timeout=_IDLE_POLL_SECONDS)
                 except TimeoutError:
                     if self.stop_event.is_set() or inbox.diverted:
                         break
@@ -303,12 +302,14 @@ class ActorBase(threading.Thread):
                 except MailboxClosed:
                     break
                 try:
-                    self._dispatch(message)
-                    if batched:
-                        # Work-conserving: about to block on an empty
-                        # inbox, send what is buffered; a busy actor
-                        # keeps filling up to the flush deadline.
-                        self._flush_batches(force=inbox.empty)
+                    while queue:
+                        message = queue.popleft()
+                        inbox.release()
+                        self._dispatch(message)
+                        if batched:
+                            # Work-conserving: a busy actor fills up to the
+                            # flush deadline, an idle one sends everything.
+                            self._flush_batches(force=not queue)
                 except ActorStopped:
                     break
         except MailboxClosed:
@@ -328,17 +329,15 @@ class ActorBase(threading.Thread):
             # epoch and must wait (including the channel's next barrier).
             aligner.defer(message)
             return
-        if isinstance(payload, Barrier):
-            self._on_barrier(payload, origin)
-            return
-        if isinstance(payload, MigrationTicket):
-            self._on_migrate(payload)
-            return
-        if isinstance(payload, ScaleDirective):
-            self._on_scale(payload)
-            return
-        if isinstance(payload, RetireNotice):
-            self._on_retire(payload)
+        if isinstance(payload, _CONTROL):
+            if isinstance(payload, Barrier):
+                self._on_barrier(payload, origin)
+            elif isinstance(payload, MigrationTicket):
+                self._on_migrate(payload)
+            elif isinstance(payload, ScaleDirective):
+                self._on_scale(payload)
+            else:
+                self._on_retire(payload)
             return
         if isinstance(payload, Batch):
             for item in payload.items:
@@ -434,12 +433,27 @@ class ActorBase(threading.Thread):
     def handle(self, message: Tuple[Any, str]) -> None:
         raise NotImplementedError
 
-    def _send(self, target: Target, payload: Any) -> None:
+    def _divert_inbox(self, vertex: str) -> None:
+        """Dead-letter this stopped actor's mail, in order, as ``vertex``'s."""
+        sink = self.context.dead_letters
+
+        def divert(message: Tuple[Any, str]) -> None:
+            payload = message[0]
+            # Unpack batch envelopes so dead letters stay per-tuple.
+            items = payload.items if isinstance(payload, Batch) else (payload,)
+            for item in items:
+                sink.record(vertex, item, "stopped-actor")
+
+        self.mailbox.divert(divert)
+
+    def _send(self, target: Target, payload: Any,
+              origin: Optional[str] = None) -> None:
         """Deliver downstream, accounting blocked time (backpressure)."""
         started = time.perf_counter()
         self.blocked_on = target.name
         try:
-            ok = target.deliver(payload, self.origin_name)
+            ok = target.deliver(
+                payload, self.origin_name if origin is None else origin)
         finally:
             self.blocked_on = None
         elapsed = time.perf_counter() - started
@@ -471,17 +485,15 @@ class ActorBase(threading.Thread):
         two downstream actors would mutate one shared payload (origin
         stamping, attribute writes) concurrently.
         """
-        seen_ids: Optional[set] = None
+        seen_ids: Optional[set] = set() if len(outputs) > 1 else None
         for output in outputs:
             target = router.resolve(output)
             if target is None:
                 self.counters.emitted += 1  # result leaves the topology
                 continue
             item = output if keep_wrapped else unwrap(output)
-            payload = unwrap(item)
-            if isinstance(payload, dict):
-                if seen_ids is None:
-                    seen_ids = set()
+            if seen_ids is not None and isinstance(
+                    payload := unwrap(item), dict):
                 if id(payload) in seen_ids:
                     payload = type(payload)(payload)
                     if isinstance(item, WrappedItem):
@@ -634,17 +646,7 @@ class OperatorActor(ActorBase):
 
     def _stop_self(self) -> None:
         if self.policy.divert_on_stop:
-            vertex = self.vertex
-            sink = self.context.dead_letters
-
-            def _divert(message: Tuple[Any, str]) -> None:
-                payload = message[0]
-                # Unpack batch envelopes so dead letters stay per-tuple.
-                items = payload.items if isinstance(payload, Batch) else (payload,)
-                for item in items:
-                    sink.record(vertex, item, "stopped-actor")
-
-            self.mailbox.divert(_divert)
+            self._divert_inbox(self.vertex)
         raise ActorStopped
 
     def handle(self, message: Tuple[Any, str]) -> None:
@@ -877,21 +879,8 @@ class EmitterActor(ActorBase):
         target = self._pick(payload)
         self.counters.busy_time += time.perf_counter() - started
         self.counters.processed += 1
-        delivered = time.perf_counter()
-        self.blocked_on = target.name
-        try:
-            ok = target.mailbox.put((payload, origin))
-        finally:
-            self.blocked_on = None
-        elapsed = time.perf_counter() - delivered
-        if elapsed > 1e-4:
-            self.counters.blocked_time += elapsed
-        if ok:
-            self.counters.emitted += 1
-        else:
-            self.counters.dropped += 1
-            self.context.dead_letters.record(
-                self.vertex, unwrap(payload), "mailbox-timeout")
+        # The upstream origin travels on, as if the vertex were unreplicated.
+        self._send(target, payload, origin)
 
 
 class CollectorActor(ActorBase):

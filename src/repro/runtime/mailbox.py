@@ -12,7 +12,6 @@ dropping the item — only when the configured timeout elapses.
 from __future__ import annotations
 
 import threading
-import time
 from collections import deque
 from typing import Any, Callable, Deque, Optional, Sequence, Tuple
 
@@ -69,6 +68,10 @@ class BoundedMailbox:
         self._not_full = threading.Condition(self._lock)
         self._not_empty = threading.Condition(self._lock)
         self._closed = False
+        # Unsignalled sleepers on each condition, changed under the lock
+        # (see ``_room``): nobody signals a condition no thread sleeps on.
+        self._receivers_waiting = 0
+        self._senders_waiting = 0
         #: Messages dropped because a sender's put timed out (BAS drop).
         self.dropped = 0
         #: Messages shed by an injected mailbox drop window (faults).
@@ -98,6 +101,7 @@ class BoundedMailbox:
         blocked senders are released immediately.
         """
         with self._lock:
+            # Cleared in place: get_all's consumer may hold the deque.
             drained = list(self._queue)
             self._queue.clear()
             self._divert = callback
@@ -131,8 +135,7 @@ class BoundedMailbox:
             raise ValueError(f"weight must be >= 1, got {weight}")
         if timeout is not None and timeout < 0.0:
             timeout = self.put_timeout
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._not_full:
+        with self._lock:
             if not control:
                 index = self.offered
                 self.offered += weight
@@ -141,18 +144,12 @@ class BoundedMailbox:
                         for start, end in self.drop_windows):
                     self.shed += weight
                     return True
-            while (len(self._queue) >= self.capacity
-                   and self._divert is None):
-                if self._closed:
-                    raise MailboxClosed("mailbox closed while sender blocked")
-                if deadline is None:
-                    self._not_full.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        self.dropped += weight
-                        return False
-                    self._not_full.wait(remaining)
+            if len(self._queue) >= self.capacity and self._divert is None:
+                ready = self._not_full.wait_for(self._room, timeout)
+                self._senders_waiting -= 1  # the last look did not sleep
+                if not ready:
+                    self.dropped += weight
+                    return False
             if self._divert is not None:
                 # The dead-letter callback only appends to a sink with
                 # its own private lock, so invoking it under this lock
@@ -165,8 +162,40 @@ class BoundedMailbox:
             self.enqueued += 1
             if len(self._queue) > self.high_watermark:
                 self.high_watermark = len(self._queue)
-            self._not_empty.notify()
+            if self._receivers_waiting:
+                # Wake all and forget what timed-out waits left counted.
+                self._receivers_waiting = 0
+                self._not_empty.notify_all()
             return True
+
+    def _room(self) -> bool:
+        """A sender's wait predicate.  It counts the sender asleep
+        *before* it looks, so a consumer that pops and then reads the
+        count without the lock (:meth:`release`) cannot miss it; a
+        waker uncounts the one sender it signals."""
+        self._senders_waiting += 1
+        return (len(self._queue) < self.capacity
+                or self._divert is not None or self._closed)
+
+    def _mail(self) -> bool:
+        """A receiver's wait predicate, counting as :meth:`_room` does."""
+        self._receivers_waiting += 1
+        return bool(self._queue) or self._closed
+
+    def _wake_sender(self) -> None:
+        if self._senders_waiting:  # lock held
+            self._senders_waiting -= 1
+            self._not_full.notify()
+
+    def _await_message(self, timeout: Optional[float]) -> None:
+        """Block (lock held) until a message is queued; raises as
+        :meth:`get` documents."""
+        self._not_empty.wait_for(self._mail, timeout)
+        self._receivers_waiting -= 1  # the last look did not sleep
+        if not self._queue:
+            if self._closed:
+                raise MailboxClosed("mailbox closed and drained")
+            raise TimeoutError("mailbox get timed out")
 
     def get(self, timeout: Optional[float] = None) -> Any:
         """Dequeue one message, blocking up to ``timeout`` seconds.
@@ -175,21 +204,33 @@ class BoundedMailbox:
         mailbox still empty, and :class:`MailboxClosed` when the mailbox
         was closed and fully drained.
         """
-        deadline = None if timeout is None else time.monotonic() + timeout
-        with self._not_empty:
-            while not self._queue:
-                if self._closed:
-                    raise MailboxClosed("mailbox closed and drained")
-                if deadline is None:
-                    self._not_empty.wait()
-                else:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0.0:
-                        raise TimeoutError("mailbox get timed out")
-                    self._not_empty.wait(remaining)
+        with self._lock:
+            if not self._queue:
+                self._await_message(timeout)
             message = self._queue.popleft()
-            self._not_full.notify()
+            self._wake_sender()
             return message
+
+    def get_all(self, timeout: Optional[float] = None) -> Deque[Any]:
+        """Block until a message is queued; return the queue itself.
+
+        Its single consumer pops from the head without the lock and calls
+        :meth:`release` after each pop; a message frees its slot only when
+        popped, so BAS, ``len`` and ``empty`` read as with :meth:`get`.
+        """
+        if not self._queue:
+            with self._lock:
+                if not self._queue:
+                    self._await_message(timeout)
+        return self._queue
+
+    def release(self) -> None:
+        """Wake a blocked sender after a pop from :meth:`get_all`'s deque;
+        lock-free unless one sleeps (the pop precedes this read, and
+        :meth:`_room` counts a sender before it looks)."""
+        if self._senders_waiting:
+            with self._lock:
+                self._wake_sender()
 
     def close(self) -> None:
         """Close the mailbox, waking all blocked senders and receivers."""

@@ -214,10 +214,7 @@ class MetaOperatorActor(ActorBase):
         if member == self.plan.front_end:
             policy = self.strategy.policy_for(member)
             if policy.divert_on_stop:
-                sink = self.context.dead_letters
-                self.mailbox.divert(
-                    lambda message: sink.record(member, message[0],
-                                                "stopped-actor"))
+                self._divert_inbox(member)
             raise ActorStopped
 
     def _on_member_failure(self, member: str, item: Any,
@@ -234,10 +231,7 @@ class MetaOperatorActor(ActorBase):
             self.context.request_recovery(
                 member, f"{type(error).__name__}: {error}")
             if policy.divert_on_stop:
-                sink = self.context.dead_letters
-                self.mailbox.divert(
-                    lambda message: sink.record(member, message[0],
-                                                "stopped-actor"))
+                self._divert_inbox(member)
             raise ActorStopped
         if directive is Directive.RESTART:
             if member not in self.member_factories:

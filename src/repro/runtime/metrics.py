@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import time
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional
 
@@ -35,7 +36,9 @@ class ActorCounters:
         self.restarts = 0
         self.busy_time = 0.0
         self.blocked_time = 0.0
-        self.service_samples: List[float] = []
+        #: Reservoir of raw service times, capped by the actor; a packed
+        #: double array is a quarter of a float list's size.
+        self.service_samples = array("d")
         # End-to-end latency of items consumed here (sinks only);
         # fed by the birth timestamps sources stamp into records.
         self.latency_sum = 0.0

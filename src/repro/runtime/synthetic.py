@@ -76,6 +76,29 @@ class BusyOperator(Operator):
         return f"BusyOperator(busy_time={self.busy_time:g}s)"
 
 
+def _padded_call(operator: Any, item: Any, service_time: float) -> List[Any]:
+    """One invocation of a padded ``operator``: its inner operator's work,
+    then a sleep up to ``service_time``.
+
+    ``time.sleep`` overshoots by scheduler latency, which would make
+    every padded operator slower than declared.  The sleep is therefore
+    shortened by what the previous one overslept (carried in
+    ``operator._overslept``, capped at one service time), so the mean
+    service time stays on target; a first call lasts at least
+    ``service_time``.
+    """
+    started = time.perf_counter()
+    outputs = operator.inner.operator_function(item)
+    deadline = started + service_time - operator._overslept
+    remaining = deadline - time.perf_counter()
+    operator._overslept = 0.0
+    if remaining > 0.0:
+        time.sleep(remaining)
+        operator._overslept = min(time.perf_counter() - deadline,
+                                  service_time)
+    return outputs
+
+
 class ServiceTimeControl:
     """Mutable, shared service-time knob read once per invocation.
 
@@ -117,15 +140,10 @@ class AdjustablePaddedOperator(Operator):
         self.state = inner.state
         self.input_selectivity = inner.input_selectivity
         self.output_selectivity = inner.output_selectivity
+        self._overslept = 0.0
 
     def operator_function(self, item: Any) -> List[Any]:
-        service_time = self.control.service_time
-        started = time.perf_counter()
-        outputs = self.inner.operator_function(item)
-        remaining = service_time - (time.perf_counter() - started)
-        if remaining > 0.0:
-            time.sleep(remaining)
-        return outputs
+        return _padded_call(self, item, self.control.service_time)
 
     def snapshot_state(self) -> dict:
         return {"inner": self.inner.snapshot_state()}
@@ -165,14 +183,10 @@ class PaddedOperator(Operator):
         self.state = inner.state
         self.input_selectivity = inner.input_selectivity
         self.output_selectivity = inner.output_selectivity
+        self._overslept = 0.0
 
     def operator_function(self, item: Any) -> List[Any]:
-        started = time.perf_counter()
-        outputs = self.inner.operator_function(item)
-        remaining = self.service_time - (time.perf_counter() - started)
-        if remaining > 0.0:
-            time.sleep(remaining)
-        return outputs
+        return _padded_call(self, item, self.service_time)
 
     def on_start(self) -> None:
         self.inner.on_start()

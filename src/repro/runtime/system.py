@@ -472,8 +472,8 @@ class ActorSystem:
         """The delivery endpoint of one link: remote, batched or direct."""
         if link.channel is not None:
             sender = self._remote[link.channel]
-            # An emitter addresses a replica as ``target.mailbox.put``,
-            # which a channel sender answers by batching.
+            # An emitter delivers through ``Target.deliver``, whose
+            # ``mailbox.put`` a channel sender answers by batching.
             return (Target(sender.name, sender) if link.kind == "scatter"
                     else sender)
         name = self.plan.nodes[link.receiver].vertex

@@ -7,15 +7,26 @@ import pytest
 from repro.operators.base import Record, WrappedItem
 from repro.operators.basic import Filter, FlatMap, Identity
 from repro.operators.source_sink import CountingSink
+from repro.runtime import synthetic
 from repro.runtime.actors import (
     CollectorActor,
     EmitterActor,
     OperatorActor,
+    RetireNotice,
     Router,
     Target,
 )
 from repro.runtime.mailbox import BoundedMailbox
-from repro.runtime.synthetic import PaddedOperator
+from repro.runtime.supervision import (
+    ActorContext,
+    Directive,
+    SupervisionPolicy,
+)
+from repro.runtime.synthetic import (
+    AdjustablePaddedOperator,
+    PaddedOperator,
+    ServiceTimeControl,
+)
 
 
 def make_target(name, capacity=16):
@@ -282,3 +293,118 @@ class TestSupervision:
         flaky_rates = result.vertices["flaky"]
         assert flaky_rates.departure_rate == pytest.approx(
             result.vertices["src"].departure_rate * 0.8, rel=0.15)
+
+
+class TestDrainedBacklog:
+    """The run loop pops its backlog from the deque ``get_all`` returns;
+    a stop in the middle of it leaves the mailbox as one-at-a-time
+    ``get`` would have.  ``run`` is called on the test thread: one drain, no
+    scheduling luck."""
+
+    def _actor(self, operator, mailbox, **kwargs):
+        router = Router("op")
+        target = make_target("next")
+        router.add(1.0, target)
+        actor = OperatorActor(name="op", vertex="op", operator=operator,
+                              router=router, mailbox=mailbox,
+                              stop_event=stop_event(), **kwargs)
+        return actor, target
+
+    def test_stop_mid_drain_dead_letters_the_rest_in_arrival_order(self):
+        mailbox = BoundedMailbox(16)
+
+        class CrashOnThird(Identity):
+            calls = 0
+
+            def operator_function(self, item):
+                self.calls += 1
+                if self.calls == 1:
+                    # Arrives while the other nine are still queued.
+                    mailbox.put((Record({"seq": 10}), "src"))
+                if self.calls == 3:
+                    raise RuntimeError("boom")
+                return [item]
+
+        for i in range(10):
+            mailbox.put((Record({"seq": i}), "src"))
+        context = ActorContext()
+        actor, target = self._actor(
+            CrashOnThird(), mailbox, context=context,
+            policy=SupervisionPolicy(on_error=Directive.STOP))
+        actor.run()
+        assert [(letter.reason, letter.payload["seq"])
+                for letter in context.dead_letters.letters] == (
+            [("supervision-stop", 2)]
+            + [("stopped-actor", i) for i in range(3, 11)])
+        assert [payload["seq"] for payload, _ in
+                target.mailbox.get_all(timeout=0.1)] == [0, 1]
+
+    def test_backlog_keeps_its_slots_while_it_is_handled(self):
+        # BAS as with one-at-a-time ``get``: ``capacity`` queued plus the
+        # one message in service, however much was queued at the drain.
+        mailbox = BoundedMailbox(3)
+        accepted = []
+
+        class PutWhileHandling(Identity):
+            def operator_function(self, item):
+                if item["seq"] == 0:
+                    accepted.extend(
+                        mailbox.put((Record({"seq": seq}), "src"),
+                                    timeout=0.05) for seq in (3, 4))
+                return [item]
+
+        for i in range(3):
+            mailbox.put((Record({"seq": i}), "src"))
+        actor, target = self._actor(PutWhileHandling(), mailbox)
+        actor.stop_event.set()
+        actor.run()
+        assert accepted == [True, False]
+        assert mailbox.dropped == 1
+        assert [payload["seq"] for payload, _ in
+                target.mailbox.get_all(timeout=0.1)] == [0, 1, 2, 3]
+
+    def test_retire_notice_leaves_what_follows_in_the_mailbox(self):
+        mailbox = BoundedMailbox(16)
+        notice = RetireNotice()
+        for i in range(3):
+            mailbox.put((Record({"seq": i}), "src"))
+        mailbox.put((notice, "emitter"), control=True)
+        for i in range(3, 6):
+            mailbox.put((Record({"seq": i}), "src"))
+        actor, target = self._actor(Identity(), mailbox)
+        actor.run()
+        assert notice.done.is_set()
+        assert actor.counters.processed == 3
+        assert [payload["seq"] for payload, _ in
+                target.mailbox.get_all(timeout=0.1)] == [0, 1, 2]
+        assert [payload["seq"] for payload, _ in
+                mailbox.get_all(timeout=0.1)] == [3, 4, 5]
+
+
+class _OversleepingClock:
+    """Stands in for the ``time`` module: the clock moves only when
+    slept, and every sleep lasts 30 % longer than asked."""
+
+    def __init__(self):
+        self.now = 0.0
+
+    def perf_counter(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.now += 1.3 * seconds
+
+
+class TestPadding:
+    @pytest.mark.parametrize("make", [
+        lambda: PaddedOperator(Identity(), 0.002),
+        lambda: AdjustablePaddedOperator(Identity(),
+                                         ServiceTimeControl(0.002)),
+    ])
+    def test_mean_service_time_repays_oversleep(self, monkeypatch, make):
+        clock = _OversleepingClock()
+        monkeypatch.setattr(synthetic, "time", clock)
+        operator = make()
+        for i in range(1000):
+            operator.operator_function(Record({"seq": i}))
+        assert clock.now / 1000 == pytest.approx(0.002, rel=0.01)

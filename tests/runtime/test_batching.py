@@ -148,6 +148,11 @@ class TestBatchingTarget:
         assert target.receiver_idle()
         mailbox.put("someone else's message")
         assert not target.receiver_idle()  # the receiver has work queued
+        queue = mailbox.get_all()
+        assert not target.receiver_idle()  # drained but not handled yet
+        queue.popleft()
+        mailbox.release()
+        assert target.receiver_idle()
 
     def test_dropped_batch_reports_items(self):
         dropped = []

@@ -8,7 +8,7 @@ from repro.core.fusion import plan_fusion
 from repro.operators.base import Operator, Record, WrappedItem
 from repro.operators.basic import Filter, Identity
 from repro.runtime.actors import Router, Target
-from repro.runtime.mailbox import BoundedMailbox
+from repro.runtime.mailbox import Batch, BoundedMailbox
 from repro.runtime.meta import MetaOperatorActor
 from repro.runtime.supervision import (
     ActorContext,
@@ -290,6 +290,10 @@ class TestMemberSupervision:
         # Later deliveries land in dead letters instead of blocking.
         actor.mailbox.put((Record({}), "op0"))
         assert context.dead_letters.counts()["op1"] >= 2
+        # A batch envelope is dead-lettered tuple by tuple.
+        before = context.dead_letters.counts()["op1"]
+        actor.mailbox.put((Batch((Record({}), Record({}))), "op0"), weight=2)
+        assert context.dead_letters.counts()["op1"] == before + 2
 
     def test_escalate_reaches_the_system(self):
         escalations = []
