@@ -18,7 +18,7 @@ import io
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
-from repro.core.fusion import FusionPlan
+from repro.core.fusion import FusionPlan, flatten_fusion_plans
 from repro.core.graph import (
     Edge,
     KeyDistribution,
@@ -162,15 +162,19 @@ def generate_code(
 
     ``original`` supplies the member specs of fused vertices (fused
     topologies no longer carry them); required whenever
-    ``fusion_plans`` is non-empty.
+    ``fusion_plans`` is non-empty.  Plans that fuse fused vertices again
+    are emitted flat, one per fused vertex of ``topology`` (see
+    :func:`~repro.core.fusion.flatten_fusion_plans`).
     """
     config = config or CodegenConfig()
-    plans = {plan.fused_name: plan for plan in fusion_plans}
-    if plans and original is None:
+    if fusion_plans and original is None:
         raise TopologyError(
             "generating code for a fused topology requires the original "
             "topology (member operator classes live there)"
         )
+    plans = {plan.fused_name: plan for plan in (
+        flatten_fusion_plans(fusion_plans, original)
+        if original is not None else ())}
 
     source = topology.source
     out = io.StringIO()

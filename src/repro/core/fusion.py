@@ -27,7 +27,7 @@ also implements the paper's "merged edges with joint probability".
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.graph import (
@@ -330,6 +330,43 @@ def apply_fusion(
         analysis_before=analysis,
         analysis_after=after,
     )
+
+
+def flatten_fusion_plans(plans: Sequence[FusionPlan],
+                         original: Topology) -> List[FusionPlan]:
+    """One plan over ``original``'s operators per final fused vertex.
+
+    Repeated fusion (:func:`repro.core.autofusion.auto_fuse` fuses
+    fused vertices again) leaves plans whose members are earlier plans'
+    fused vertices, which ``original`` does not know.  Each such plan is
+    re-planned over the operators it stands for, in topological order,
+    under its own fused name; a plan fused again later is dropped, and
+    a plan over original operators only is kept as it is.
+    """
+    by_name = {plan.fused_name: plan for plan in plans}
+
+    def expand(name: str) -> List[str]:
+        plan = by_name.get(name)
+        if plan is None:
+            return [name]
+        return [leaf for member in plan.members for leaf in expand(member)]
+
+    fused_again = {member for plan in plans for member in plan.members
+               if member in by_name}
+    rank = {name: index
+            for index, name in enumerate(original.topological_order())}
+    flat: List[FusionPlan] = []
+    for plan in plans:
+        if plan.fused_name in fused_again:
+            continue
+        if fused_again.isdisjoint(plan.members):
+            flat.append(plan)
+            continue
+        members = tuple(sorted(expand(plan.fused_name), key=rank.__getitem__))
+        flat.append(replace(
+            plan_fusion(original, members, fused_name=plan.fused_name),
+            members=members))
+    return flat
 
 
 def build_fused_topology(topology: Topology, plan: FusionPlan) -> Topology:

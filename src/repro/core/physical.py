@@ -19,9 +19,9 @@ has flushed and exited: a finite job ends by the plan, losslessly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Dict, List, Mapping, Optional, Sequence
+from typing import Collection, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.graph import StateKind, Topology
+from repro.core.graph import Edge, StateKind, Topology
 from repro.core.partitioning import key_partitioning
 
 
@@ -43,7 +43,9 @@ class Link:
     ``route`` links are the topology's edges (exit node of the source
     vertex to entry node of the target, carrying the edge's probability
     and batching); ``scatter`` and ``gather`` links are internal to an
-    ensemble.  ``channel`` numbers the links that cross shards.
+    ensemble and carry the batching of its vertex's edges, so a batch
+    crosses the ensemble whole.  ``channel`` numbers the links that
+    cross shards.
     """
 
     sender: str
@@ -112,9 +114,12 @@ def build_plan(topology: Topology,
     fusion plan.  ``elastic`` makes every stateless vertex an ensemble
     even at degree 1, so replicas can be added behind its emitter while
     the system runs.  ``batch_size`` / ``batch_flush_timeout`` are the
-    defaults of edges without a ``BatchConfig`` of their own.
+    defaults of edges without a ``BatchConfig`` of their own; an
+    ensemble's scatter (gather) links batch like the edges into (out
+    of) its vertex when those agree, and by the defaults otherwise.
     """
     plan = PhysicalPlan()
+    default = (batch_size, batch_flush_timeout)
     for spec in topology.operators:
         name = spec.name
         shards = (tuple(placement[name]) if placement is not None
@@ -134,9 +139,16 @@ def build_plan(topology: Topology,
                 plan.add_node(Node(f"{name}#{index}", "replica", name,
                                    shard, replica=index))
             plan.add_node(Node(collector, "collector", name, home))
+            # An ensemble moves its edges' batches whole: a scatter link
+            # batches like the edges into the vertex, a gather link like
+            # the edges out of it.
+            scatter = _batching(topology.in_edges(name), default)
+            gather = _batching(topology.out_edges(name), default)
             for index in range(len(shards)):
-                plan.add_link(emitter, f"{name}#{index}", "scatter")
-                plan.add_link(f"{name}#{index}", collector, "gather")
+                plan.add_link(emitter, f"{name}#{index}", "scatter",
+                              batch_size=scatter[0], flush_timeout=scatter[1])
+                plan.add_link(f"{name}#{index}", collector, "gather",
+                              batch_size=gather[0], flush_timeout=gather[1])
             if spec.state is StateKind.PARTITIONED:
                 assert spec.keys is not None  # enforced by OperatorSpec
                 _, _, partition = key_partitioning(
@@ -145,11 +157,18 @@ def build_plan(topology: Topology,
         else:
             plan.add_node(Node(name, "single", name, home))
     for edge in topology.edges:
-        if edge.batch is not None:
-            size, flush = edge.batch.size, edge.batch.flush_timeout
-        else:
-            size, flush = batch_size, batch_flush_timeout
+        size, flush = _batching([edge], default)
         plan.add_link(plan.exit[edge.source], plan.entry[edge.target],
                       "route", probability=edge.probability,
                       batch_size=size, flush_timeout=flush)
     return plan
+
+
+def _batching(edges: Sequence[Edge],
+              default: Tuple[int, float]) -> Tuple[int, float]:
+    """``(size, flush_timeout)`` every edge of ``edges`` batches by, or
+    ``default`` when they disagree (or there are none)."""
+    batchings = {default if edge.batch is None
+                 else (edge.batch.size, edge.batch.flush_timeout)
+                 for edge in edges}
+    return batchings.pop() if len(batchings) == 1 else default

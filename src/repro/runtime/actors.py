@@ -54,6 +54,9 @@ class Target:
     def __init__(self, name: str, mailbox: BoundedMailbox) -> None:
         self.name = name
         self.mailbox = mailbox
+        #: The actor whose batch buffer this is (see :class:`BatchingTarget`);
+        #: ``None`` for a direct endpoint, which every put is timed around.
+        self.owner: Optional["ActorBase"] = None
 
     def deliver(self, payload: Any, origin: str) -> bool:
         """Enqueue ``(payload, origin)``; blocks while full (BAS)."""
@@ -79,6 +82,14 @@ class BatchingTarget(Target):
     the batched put times out (``"mailbox-timeout"``) or the receiver
     is gone (``"receiver-closed"``), so the sender can account every
     lost tuple (dead letters and counters) instead of one lost message.
+
+    A batch carries one origin: a tuple from another origin than the
+    buffered ones flushes them first.  With an ``owner`` (set when the
+    system wires the buffer to its sending actor) the flush is where
+    the owner blocks: the put is timed once per batch, any wait is
+    charged to ``owner.counters.blocked_time`` and ``owner.blocked_on``
+    names the receiver meanwhile, so the owner delivers each tuple
+    untimed.
     """
 
     def __init__(self, name: str, mailbox: BoundedMailbox, size: int,
@@ -112,8 +123,11 @@ class BatchingTarget(Target):
         ``on_drop`` (and the mailbox's weighted ``dropped`` counter), so
         per-tuple send accounting stays exact.
         """
+        if origin != self._origin:
+            if self._buffer:
+                self.flush()
+            self._origin = origin
         self._buffer.append(payload)
-        self._origin = origin
         if self._first_at is None:
             self._first_at = time.monotonic()
         if len(self._buffer) >= self.size:
@@ -130,7 +144,8 @@ class BatchingTarget(Target):
         return bool(self._buffer) and self.mailbox.empty
 
     def flush(self) -> bool:
-        """Deliver the buffered tuples as one batch message now.
+        """Deliver the buffered tuples as one batch message now (a lone
+        tuple as a plain message).
 
         Returns ``False`` when the batched put timed out; a closed
         receiver raises :class:`MailboxClosed`.  Either way the tuples
@@ -143,12 +158,25 @@ class BatchingTarget(Target):
         origin = self._origin or ""
         self._buffer.clear()
         self._first_at = None
+        owner = self.owner
+        if owner is not None:
+            owner.blocked_on = self.name
+            started = time.perf_counter()
+        # A lone tuple travels bare: an envelope would only cost its
+        # receiver the unpacking.
+        message = (Batch(items) if len(items) > 1 else items[0], origin)
         try:
-            ok = self.mailbox.put((Batch(items), origin), weight=len(items))
+            ok = self.mailbox.put(message, weight=len(items))
         except MailboxClosed:
             if self.on_drop is not None:
                 self.on_drop(items, "receiver-closed")
             raise
+        finally:
+            if owner is not None:
+                owner.blocked_on = None
+                elapsed = time.perf_counter() - started
+                if elapsed > 1e-4:  # as in ``ActorBase._send``
+                    owner.counters.blocked_time += elapsed
         if not ok and self.on_drop is not None:
             self.on_drop(items, "mailbox-timeout")
         return ok
@@ -290,6 +318,7 @@ class ActorBase(threading.Thread):
     def run(self) -> None:  # pragma: no cover - thread body, exercised E2E
         batched = bool(self.batch_targets)  # chosen once per thread
         inbox = self.mailbox
+        self.counters.thread_started()
         try:
             self.on_start()
             while True:
@@ -317,6 +346,7 @@ class ActorBase(threading.Thread):
         finally:
             self.blocked_on = None
             self._flush_batches(force=True)
+            self.counters.thread_exiting()
             self.on_stop()
 
     def _dispatch(self, message: Tuple[Any, str]) -> None:
@@ -340,8 +370,7 @@ class ActorBase(threading.Thread):
                 self._on_retire(payload)
             return
         if isinstance(payload, Batch):
-            for item in payload.items:
-                self.handle((item, origin))
+            self.handle_batch(payload.items, origin)
         else:
             self.handle(message)
 
@@ -409,9 +438,15 @@ class ActorBase(threading.Thread):
         by fault windows, not counted as a data arrival).
         """
         for target in self._barrier_targets:
-            if isinstance(target, BatchingTarget):
-                target.flush()
-            target.mailbox.put((barrier, self.origin_name), control=True)
+            self._put_control(target, barrier)
+
+    def _put_control(self, target: Target, envelope: Any) -> None:
+        """Put a control envelope behind everything sent to ``target``:
+        its batch buffer flushes first, so no envelope overtakes a
+        buffered tuple."""
+        if isinstance(target, BatchingTarget):
+            target.flush()
+        target.mailbox.put((envelope, self.origin_name), control=True)
 
     def _flush_batches(self, force: bool = False,
                        probe: bool = False) -> None:
@@ -433,6 +468,12 @@ class ActorBase(threading.Thread):
     def handle(self, message: Tuple[Any, str]) -> None:
         raise NotImplementedError
 
+    def handle_batch(self, items: Sequence[Any], origin: str) -> None:
+        """Handle the tuples of one :class:`Batch`, one at a time unless
+        the actor moves a batch as a unit."""
+        for item in items:
+            self.handle((item, origin))
+
     def _divert_inbox(self, vertex: str) -> None:
         """Dead-letter this stopped actor's mail, in order, as ``vertex``'s."""
         sink = self.context.dead_letters
@@ -448,7 +489,16 @@ class ActorBase(threading.Thread):
 
     def _send(self, target: Target, payload: Any,
               origin: Optional[str] = None) -> None:
-        """Deliver downstream, accounting blocked time (backpressure)."""
+        """Deliver downstream, accounting blocked time (backpressure).
+
+        A batch buffer this actor owns takes the tuple untimed: only
+        its flush can block, and the flush charges the wait itself.
+        """
+        if target.owner is self:
+            self.counters.emitted += 1
+            target.deliver(
+                payload, self.origin_name if origin is None else origin)
+            return
         started = time.perf_counter()
         self.blocked_on = target.name
         try:
@@ -728,6 +778,7 @@ class SourceActor(ActorBase):
     def run(self) -> None:  # pragma: no cover - thread body, exercised E2E
         next_time = time.perf_counter()
         sequence = self._start_sequence
+        self.counters.thread_started()
         try:
             self.operator.on_start()
             while not self.stop_event.is_set():
@@ -796,6 +847,7 @@ class SourceActor(ActorBase):
             # An exhausted source (max_items) must not strand its
             # last, incomplete batch.
             self._flush_batches(force=True)
+            self.counters.thread_exiting()
             self.operator.on_stop()
 
 
@@ -856,31 +908,50 @@ class EmitterActor(ActorBase):
         replicas = self.replicas
         ticket.split(len(replicas))
         for target in replicas:
-            target.mailbox.put((ticket, self.origin_name), control=True)
+            self._put_control(target, ticket)
 
     def _on_scale(self, directive: ScaleDirective) -> None:
         """Swap the replica list on this thread, then retire the rest.
 
         Running here (not on the controller thread) strictly orders the
         swap against round-robin picks, and the retire notices enqueue
-        behind every item already routed to the outgoing replicas.
+        behind every item already routed to the outgoing replicas,
+        buffered ones included.  The batch buffers of the new list
+        become this actor's.
         """
         self.replicas = directive.replicas
         self._next = 0
         for target in directive.retired:
-            target.mailbox.put((RetireNotice(), self.origin_name),
-                               control=True)
+            self._put_control(target, RetireNotice())
+        self.batch_targets = [target for target in directive.replicas
+                              if isinstance(target, BatchingTarget)]
         directive.done.set()
 
     def handle(self, message: Tuple[Any, str]) -> None:
-        payload, origin = message
-        self.counters.received += 1
+        self.handle_batch((message[0],), message[1])
+
+    def handle_batch(self, items: Sequence[Any], origin: str) -> None:
+        """Pick a replica per tuple and hand it on; counters and timing
+        per batch, busy time net of any blocked flush."""
+        counters = self.counters
+        counters.received += len(items)
+        blocked = counters.blocked_time
         started = time.perf_counter()
-        target = self._pick(payload)
-        self.counters.busy_time += time.perf_counter() - started
-        self.counters.processed += 1
-        # The upstream origin travels on, as if the vertex were unreplicated.
-        self._send(target, payload, origin)
+        pick = self._pick
+        sent = 0
+        for payload in items:
+            target = pick(payload)
+            # The upstream origin travels on, as if the vertex were
+            # unreplicated.
+            if target.owner is self:
+                target.deliver(payload, origin)
+                sent += 1
+            else:
+                self._send(target, payload, origin)
+        counters.emitted += sent
+        counters.busy_time += (time.perf_counter() - started
+                               - (counters.blocked_time - blocked))
+        counters.processed += len(items)
 
 
 class CollectorActor(ActorBase):
@@ -904,11 +975,28 @@ class CollectorActor(ActorBase):
         self.router.restore(blob["router"])
 
     def handle(self, message: Tuple[Any, str]) -> None:
-        payload, origin = message
-        self.counters.received += 1
-        self.counters.processed += 1
-        target = self.router.resolve(payload)
-        if target is None:
-            self.counters.emitted += 1
-            return
-        self._send(target, unwrap(payload))
+        self.handle_batch((message[0],), message[1])
+
+    def handle_batch(self, items: Sequence[Any], origin: str) -> None:
+        """Route every tuple as the vertex would; counters and timing
+        per batch, busy time net of any blocked flush."""
+        counters = self.counters
+        counters.received += len(items)
+        blocked = counters.blocked_time
+        started = time.perf_counter()
+        resolve = self.router.resolve
+        origin_name = self.origin_name
+        sent = 0
+        for payload in items:
+            target = resolve(payload)
+            if target is None:
+                sent += 1  # the result leaves the topology
+            elif target.owner is self:
+                target.deliver(unwrap(payload), origin_name)
+                sent += 1
+            else:
+                self._send(target, unwrap(payload))
+        counters.emitted += sent
+        counters.busy_time += (time.perf_counter() - started
+                               - (counters.blocked_time - blocked))
+        counters.processed += len(items)

@@ -26,10 +26,13 @@ class Batch:
     Batching senders (see :class:`repro.runtime.actors.BatchingTarget`)
     pack up to ``BatchConfig.size`` tuples into one ``Batch`` so the
     per-message mailbox hop (lock, condition wakeup, queue operation) is
-    paid once per batch instead of once per tuple.  Receivers unpack the
-    envelope and handle every tuple individually, so operator semantics
+    paid once per batch instead of once per tuple.  Emitters and
+    collectors move a batch as a unit — one loop, counters and timing
+    per batch — so it crosses a replicated vertex whole; operator actors
+    unpack it and handle every tuple individually, so operator semantics
     are unchanged — the differential test layer gates bit-equality
-    between batched and unbatched executions.
+    between batched and unbatched executions.  A lone tuple travels
+    without the envelope.
     """
 
     __slots__ = ("items",)

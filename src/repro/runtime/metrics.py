@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import threading
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ class ActorCounters:
 
     __slots__ = ("received", "processed", "emitted", "failed", "dropped",
                  "restarts", "busy_time", "blocked_time", "service_samples",
-                 "latency_sum", "latency_count")
+                 "latency_sum", "latency_count", "cpu_time", "_cpu_clock")
 
     def __init__(self) -> None:
         self.received = 0
@@ -43,6 +44,36 @@ class ActorCounters:
         # fed by the birth timestamps sources stamp into records.
         self.latency_sum = 0.0
         self.latency_count = 0
+        #: CPU seconds of the actor's thread, final once it exited;
+        #: while it runs, ``_cpu_clock`` is its CPU-time clock.
+        self.cpu_time = 0.0
+        self._cpu_clock: Optional[int] = None
+
+    def thread_started(self) -> None:
+        """Called first on the actor's thread: track its CPU clock."""
+        if hasattr(time, "pthread_getcpuclockid"):
+            self._cpu_clock = time.pthread_getcpuclockid(
+                threading.get_ident())
+
+    def thread_exiting(self) -> None:
+        """Called last on the actor's thread: keep its final CPU time."""
+        self.cpu_time = time.thread_time()
+        self._cpu_clock = None
+
+    def cpu_seconds(self) -> float:
+        """CPU seconds the actor's thread has used so far."""
+        clock = self._cpu_clock
+        if clock is not None:
+            try:
+                used = time.clock_gettime(clock)
+            except OSError:  # the thread exited since the read above
+                used = None
+            # A clock read after the thread exited could be a new
+            # thread's that reused its id: trust it only if the thread
+            # was still running when it was read.
+            if used is not None and self._cpu_clock is not None:
+                return used
+        return self.cpu_time
 
     def snapshot(self) -> "CounterSnapshot":
         return CounterSnapshot(
@@ -56,6 +87,7 @@ class ActorCounters:
             blocked_time=self.blocked_time,
             latency_sum=self.latency_sum,
             latency_count=self.latency_count,
+            cpu_time=self.cpu_seconds(),
         )
 
     def mean_service_time(self) -> Optional[float]:
@@ -79,6 +111,9 @@ class CounterSnapshot:
     blocked_time: float = 0.0
     latency_sum: float = 0.0
     latency_count: int = 0
+    #: CPU seconds the actor's thread used (its own clock, so time
+    #: other threads ran is not in it).
+    cpu_time: float = 0.0
 
 
 @dataclass(frozen=True)

@@ -213,11 +213,12 @@ class ChannelSender(BatchingTarget):
     serialization over ``channel_batch_size`` tuples at saturation and
     a lone tuple crosses at once on a quiet stream.
 
-    It is also *mailbox-shaped* (:meth:`put`): an
-    :class:`~repro.runtime.actors.EmitterActor` addresses its replicas
-    through ``target.mailbox.put``, so a remote replica target is
-    ``Target(vertex, ChannelSender(...))`` and scatter traffic batches
-    exactly like routed traffic.
+    It is also *mailbox-shaped* (:meth:`put`): a remote replica is
+    ``Target(vertex, ChannelSender(...))``, an
+    :class:`~repro.runtime.actors.EmitterActor` delivers to it through
+    ``Target.deliver``, whose put this class answers by batching, so
+    scatter traffic batches exactly like routed traffic; a control put
+    flushes the buffer first.
     """
 
     def put(self, message: Any, timeout: float = -1.0, weight: int = 1,

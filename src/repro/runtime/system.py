@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Mapping, Optional, Sequence
 
 from typing import TYPE_CHECKING
@@ -472,20 +472,37 @@ class ActorSystem:
         """The delivery endpoint of one link: remote, batched or direct."""
         if link.channel is not None:
             sender = self._remote[link.channel]
-            # An emitter delivers through ``Target.deliver``, whose
-            # ``mailbox.put`` a channel sender answers by batching.
+            # A replica addressed across shards is a ``Target`` over the
+            # channel sender: ``Target.deliver`` puts into it, and its
+            # ``put`` answers by batching.
             return (Target(sender.name, sender) if link.kind == "scatter"
                     else sender)
-        name = self.plan.nodes[link.receiver].vertex
+        # (A replica ``scale_vertex`` adds is no plan node; the emitter
+        # scattering to it is, and it is of the same vertex.)
+        name = self.plan.nodes[link.sender if link.kind == "scatter"
+                               else link.receiver].vertex
         mailbox = self.mailboxes[link.receiver]
-        if link.kind == "route" and link.batch_size > 1:
+        if link.batch_size > 1:
             return BatchingTarget(name, mailbox, link.batch_size,
                                   link.flush_timeout)
         return Target(name, mailbox)
 
     def _register(self, actor: ActorBase, targets: Sequence[Target]) -> None:
         """Add a built actor; the batch buffers among its endpoints
-        become its own, and what they lose is accounted to it."""
+        become its own (see :meth:`_adopt`)."""
+        for target in targets:
+            buffer = self._adopt(actor, target)
+            if buffer is not None:
+                actor.batch_targets.append(buffer)
+        self.actors.append(actor)
+
+    def _adopt(self, actor: ActorBase,
+               target: Target) -> Optional[BatchingTarget]:
+        """Make ``target``'s batch buffer, if it has one, ``actor``'s:
+        what it loses is accounted to the actor, and a buffer the actor
+        delivers to directly charges its flush's wait to the actor (one
+        behind a ``Target`` is timed by ``_send`` instead, so no wait is
+        counted twice).  Returns the buffer."""
         counters = actor.counters
         vertex = actor.vertex
         dead_letters = self.context.dead_letters
@@ -501,13 +518,15 @@ class ActorSystem:
             for item in items:
                 dead_letters.record(vertex, unwrap(item), reason)
 
-        for target in targets:
-            buffer = (target if isinstance(target, BatchingTarget)
-                      else target.mailbox)
-            if isinstance(buffer, BatchingTarget):
-                buffer.on_drop = on_drop
-                actor.batch_targets.append(buffer)
-        self.actors.append(actor)
+        if isinstance(target, BatchingTarget):
+            buffer = target
+            buffer.owner = actor
+        elif isinstance(target.mailbox, BatchingTarget):
+            buffer = target.mailbox
+        else:
+            return None
+        buffer.on_drop = on_drop
+        return buffer
 
     def _build_node(self, node: Node, links: Sequence[Link]) -> ActorBase:
         """Build the actor of one plan node sending over ``links`` —
@@ -814,12 +833,21 @@ class ActorSystem:
                 f"system with RuntimeConfig(elastic=True), and only "
                 f"stateless vertices scale)"
             )
+        emitter = ensemble.emitter
+        # Templates of the links a new replica gets: batched as the
+        # plan's own scatter and gather links of this vertex.
+        scatter = self.plan.links_from[emitter.actor_name][0]
+        gather = self.plan.links_to[self.plan.exit[vertex]][0]
         with self._reconfig_lock:
             current = len(ensemble.members)
             delta = replicas - current
             if delta == 0:
                 return 0
             retired: List[OperatorActor] = []
+            # The emitter's endpoints, one per member and in its order
+            # (only the emitter's thread swaps the list, and it is not
+            # swapping now: reconfigurations are serialized).
+            targets = list(emitter.replicas)
             for _ in range(max(delta, 0)):
                 # One more replica node than the plan has, built and
                 # linked to the collector exactly as ``wire`` does it.
@@ -827,24 +855,24 @@ class ActorSystem:
                             vertex, replica=ensemble.next_index)
                 ensemble.next_index += 1
                 self._new_mailbox(node)
-                actor = self._build_node(node, [Link(
-                    node.node_id, self.plan.exit[vertex], "gather")])
+                actor = self._build_node(node, [replace(
+                    gather, sender=node.node_id)])
+                target = self._target_for(replace(
+                    scatter, receiver=node.node_id))
+                self._adopt(emitter, target)
+                targets.append(target)
                 if self._started:
                     actor.start()
             if delta < 0:
                 retired = ensemble.members[replicas:]
                 del ensemble.members[replicas:]
-            targets = [Target(vertex, actor.mailbox)
-                       for actor in ensemble.members]
+            directive = ScaleDirective(targets[:replicas],
+                                       targets[replicas:])
             if not self._started:
-                # No threads yet: swap directly, nothing to drain.
-                ensemble.emitter.replicas = targets
+                # No threads yet: swap on this thread, nothing to drain.
+                emitter._on_scale(directive)
             else:
-                directive = ScaleDirective(
-                    targets, [Target(vertex, actor.mailbox)
-                              for actor in retired])
-                ensemble.emitter.mailbox.put(
-                    (directive, "<scale>"), control=True)
+                emitter.mailbox.put((directive, "<scale>"), control=True)
                 if not directive.done.wait(timeout):
                     raise TimeoutError(
                         f"emitter of {vertex!r} did not apply the scale "

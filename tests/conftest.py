@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro.core.graph import Edge, KeyDistribution, OperatorSpec, StateKind, Topology
+from repro.operators.base import KeyedOperator
 
 
 def pytest_addoption(parser: pytest.Parser) -> None:
@@ -74,6 +75,19 @@ def process_seeds(request: pytest.FixtureRequest) -> int:
 @pytest.fixture(scope="session")
 def adaptive_seeds(request: pytest.FixtureRequest) -> int:
     return request.config.getoption("--adaptive-seeds")
+
+
+class KeyedCounter(KeyedOperator):
+    """A running count per ``key``, stamped on every record as ``seen``:
+    per-key state a test can check at the sink."""
+
+    def __init__(self) -> None:
+        super().__init__("key")
+        self.counts: dict = {}
+
+    def operator_function(self, item):
+        seen = self.counts[item["key"]] = self.counts.get(item["key"], 0) + 1
+        return [item.copy_with(seen=seen)]
 
 
 def make_pipeline(*service_times_ms: float, name: str = "pipeline") -> Topology:

@@ -16,7 +16,9 @@ import pytest
 from repro.core.graph import (
     CheckpointConfig,
     Edge,
+    KeyDistribution,
     OperatorSpec,
+    StateKind,
     Topology,
     TopologyError,
 )
@@ -32,6 +34,7 @@ from repro.runtime.adaptive import (
 from repro.runtime.synthetic import PaddedOperator
 from repro.runtime.system import ActorSystem, RuntimeConfig
 from repro.testing import ConformanceConfig, choose_shift, topology_for_seed
+from tests.conftest import KeyedCounter
 
 
 def elastic_pipeline():
@@ -117,6 +120,77 @@ class TestLiveScaling:
             drain(system)
         finally:
             system.stop()
+
+
+class TestBatchedEnsembleReconfiguration:
+    """Scaling and migrating an ensemble whose links batch by 8."""
+
+    def test_scale_3_1_2_1_under_load_loses_nothing(self):
+        topology = Topology(
+            [OperatorSpec("src", 0.5e-3),
+             OperatorSpec("work", 1.0e-3, replication=3),
+             OperatorSpec("sink", 0.1e-3, output_selectivity=0.0)],
+            [Edge("src", "work"), Edge("work", "sink")],
+            name="batched-elastic")
+        # Replicas slower than the source, and mailboxes of two batches:
+        # every resize lands on a saturated ensemble.
+        items = 600
+        for trial in range(20):
+            sink = CollectingSink()
+            system = ActorSystem.build(
+                topology, {"src": lambda: GeneratorSource(seed=trial),
+                           "work": lambda: PaddedOperator(Identity(), 2e-4),
+                           "sink": lambda: sink},
+                config=RuntimeConfig(elastic=True, max_items=items,
+                                     mailbox_capacity=2,
+                                     batch_size=8, batch_flush_timeout=60.0,
+                                     seed=trial, watchdog=False))
+            system.start()
+            try:
+                for replicas in (1, 2, 1):
+                    time.sleep(0.01)
+                    system.scale_vertex("work", replicas)
+                drain(system)
+            finally:
+                leaked = system.stop()
+            assert leaked == []
+            assert sink.count == items, f"trial {trial}"
+            assert system.context.dead_letters.total == 0, f"trial {trial}"
+            assert system.replication_of("work") == 1
+
+    def test_migrating_a_batched_partitioned_ensemble_keeps_key_counts(self):
+        topology = Topology(
+            [OperatorSpec("src", 0.5e-3),
+             OperatorSpec("keyed", 1.0e-3, state=StateKind.PARTITIONED,
+                          replication=2, keys=KeyDistribution.uniform(64)),
+             OperatorSpec("sink", 0.1e-3, state=StateKind.STATEFUL,
+                          output_selectivity=0.0)],
+            [Edge("src", "keyed"), Edge("keyed", "sink")],
+            name="batched-keyed")
+        items = 1500
+        sink = CollectingSink(capacity=items)
+        system = ActorSystem.build(
+            topology, {"src": lambda: GeneratorSource(seed=5),
+                       "keyed": KeyedCounter, "sink": lambda: sink},
+            config=RuntimeConfig(source_rate=20_000.0, max_items=items,
+                                 batch_size=8, batch_flush_timeout=60.0,
+                                 seed=5, watchdog=False))
+        system.start()
+        try:
+            time.sleep(0.02)
+            ticket = system.migrate_vertex("keyed", timeout=10.0)
+            assert ticket.ok, ticket.errors
+            drain(system)
+        finally:
+            system.stop()
+        assert sink.count == items
+        assert sum(a.migrations for a in system.actors) == 2
+        seen = {}
+        for record in sink.items:
+            seen.setdefault(record["key"], []).append(record["seen"])
+        # Each key's count ran 1, 2, ..., n across the migration.
+        assert all(sorted(counts) == list(range(1, len(counts) + 1))
+                   for counts in seen.values())
 
 
 class TestLiveMigration:

@@ -12,9 +12,18 @@ import time
 
 import pytest
 
-from repro.core.graph import BatchConfig, Edge, OperatorSpec, Topology, TopologyError
+from repro.core.graph import (
+    BatchConfig,
+    Edge,
+    KeyDistribution,
+    OperatorSpec,
+    StateKind,
+    Topology,
+    TopologyError,
+)
 from repro.operators.base import Operator
-from repro.operators.basic import Identity
+from repro.operators.basic import FieldMap, Identity
+from repro.operators.source_sink import CollectingSink, GeneratorSource
 from repro.runtime.actors import (
     BatchingTarget,
     EmitterActor,
@@ -34,8 +43,13 @@ from repro.runtime.checkpoint import (
 from repro.runtime.mailbox import Batch, BoundedMailbox, MailboxClosed
 from repro.runtime.procshard import ChannelSender
 from repro.runtime.system import ActorSystem, RuntimeConfig
-from repro.testing.differential import run_capture, topology_factories
+from repro.testing.differential import (
+    canonical,
+    run_capture,
+    topology_factories,
+)
 from repro.topology.xmlio import parse_topology, topology_to_xml
+from tests.conftest import KeyedCounter
 
 
 class TestBatchEnvelope:
@@ -138,7 +152,7 @@ class TestBatchingTarget:
         assert target.overdue()
         target.flush()
         message, _ = mailbox.get(timeout=0.1)
-        assert message.items == ("a",)
+        assert message == "a"  # a lone tuple travels bare
         assert not target.overdue()  # the deadline restarts with the buffer
 
     def test_receiver_idle_needs_a_pending_batch_and_an_empty_mailbox(self):
@@ -298,13 +312,16 @@ DEADLINE = 10.0
 
 def _receive(mailbox, tuples, deadline=DEADLINE):
     """Messages dequeued from ``mailbox`` until ``tuples`` data tuples
-    arrived; a ``TimeoutError`` means a tuple was stranded."""
+    arrived (a lone tuple travels bare); a ``TimeoutError`` means a
+    tuple was stranded."""
     messages, seen = [], 0
     while seen < tuples:
         payload, _ = mailbox.get(timeout=deadline)
         messages.append(payload)
         if isinstance(payload, Batch):
             seen += len(payload)
+        elif not isinstance(payload, Barrier):
+            seen += 1
     return messages
 
 
@@ -402,9 +419,9 @@ class TestWorkConservingFlush:
             for item in range(3):
                 feed.permits.release()
                 # Dequeued before the next permit: the receiver is idle
-                # again, so each tuple must leave alone, at once.
+                # again, so each tuple must leave alone (bare), at once.
                 (message,) = _receive(outbox, tuples=1)
-                assert message.items == (item,)
+                assert message == item
         finally:
             stop.set()
             feed.permits.release()
@@ -424,8 +441,9 @@ class TestWorkConservingFlush:
         source.start()
         source.join(timeout=DEADLINE)
         assert not source.is_alive()
-        sizes = [len(m) for m in _receive(outbox, tuples=33)]
-        assert sizes == [1, 8, 8, 8, 8]
+        first, *rest = _receive(outbox, tuples=33)
+        assert first == 0  # alone, so bare
+        assert [len(m) for m in rest] == [8, 8, 8, 8]
 
     def test_barrier_never_overtakes_buffered_tuples(self):
         inbox, outbox = BoundedMailbox(16), BoundedMailbox(16)
@@ -438,9 +456,10 @@ class TestWorkConservingFlush:
                       control=isinstance(payload, Barrier))
         with _Running(actor):
             messages = _receive(outbox, tuples=4)
-        assert [m.items for m in messages if isinstance(m, Batch)] == [
-            (0, 1, 2), (3,)]
-        assert [type(m) for m in messages] == [Batch, Barrier, Batch]
+        batch, barrier, last = messages
+        assert batch.items == (0, 1, 2)
+        assert isinstance(barrier, Barrier)
+        assert last == 3  # alone, so bare
 
     def test_control_envelopes_arrive_behind_buffered_tuples(self):
         # A remote replica is addressed through a ChannelSender used as
@@ -458,10 +477,35 @@ class TestWorkConservingFlush:
             inbox.put((payload, "up"), control=not isinstance(payload, int))
         with _Running(emitter):
             assert directive.done.wait(DEADLINE)
-        kinds = [type(m) for m in pipe.messages]
-        assert kinds == [Batch, MigrationTicket, Batch, RetireNotice]
-        assert [m.items for m in pipe.messages if isinstance(m, Batch)] == [
-            (0, 1), (2,)]
+        batch, ticket, last, notice = pipe.messages
+        assert batch.items == (0, 1)
+        assert isinstance(ticket, MigrationTicket)
+        assert last == 2  # alone, so bare
+        assert isinstance(notice, RetireNotice)
+
+
+class TestEnsembleControlEnvelopes:
+    def test_control_envelopes_trail_the_tuples_buffered_for_a_replica(self):
+        # An intra-shard replica link batches in the emitter's own
+        # buffer: the ticket fan-out and the retire notice flush it first.
+        outbox, inbox = BoundedMailbox(16), BoundedMailbox(16)
+        replica = BatchingTarget("stage", outbox, size=100,
+                                 flush_timeout=NEVER)
+        emitter = EmitterActor("stage.emitter", "stage", [replica], inbox,
+                               threading.Event())
+        replica.owner = emitter
+        emitter.batch_targets = [replica]
+        directive = ScaleDirective([replica], [replica])
+        for payload in (0, 1, MigrationTicket("stage"), 2, directive):
+            inbox.put((payload, "up"), control=not isinstance(payload, int))
+        with _Running(emitter):
+            assert directive.done.wait(DEADLINE)
+        batch, ticket, last, notice = (
+            outbox.get(timeout=DEADLINE)[0] for _ in range(4))
+        assert batch.items == (0, 1)
+        assert isinstance(ticket, MigrationTicket)
+        assert last == 2  # alone, so bare
+        assert isinstance(notice, RetireNotice)
 
 
 class TestClosedReceiverAccounting:
@@ -488,3 +532,116 @@ class TestClosedReceiverAccounting:
         assert {letter.reason for letter in letters.letters} == {
             "receiver-closed"}
         system.stop()
+
+
+def _ensemble_topology(checkpoint=None):
+    """source -> parse x2 -> keyed x2 -> sink."""
+    return Topology(
+        [OperatorSpec("source", 1e-4),
+         OperatorSpec("parse", 1e-4, replication=2),
+         OperatorSpec("keyed", 1e-4, state=StateKind.PARTITIONED,
+                      replication=2, keys=KeyDistribution.uniform(64)),
+         OperatorSpec("sink", 1e-4, state=StateKind.STATEFUL,
+                      output_selectivity=0.0)],
+        [Edge("source", "parse"), Edge("parse", "keyed"),
+         Edge("keyed", "sink")],
+        name="batched-ensembles", checkpoint=checkpoint)
+
+
+def _ensemble_factories(sink):
+    return {"source": lambda: GeneratorSource(seed=9),
+            "parse": lambda: FieldMap("value"),
+            "keyed": KeyedCounter,
+            "sink": lambda: sink}
+
+
+def _per_key(records):
+    """key -> its records' ``(sequence, value)`` in sequence order, and
+    key -> the ``seen`` counts its replica stamped, in order."""
+    rows, seen = {}, {}
+    for record in records:
+        rows.setdefault(record["key"], []).append(
+            (record["sequence"], record["value"]))
+        seen.setdefault(record["key"], []).append(record["seen"])
+    return ({key: sorted(items) for key, items in rows.items()},
+            {key: sorted(counts) for key, counts in seen.items()})
+
+
+class TestBatchedEnsemble:
+    """A batch crosses an emitter, its replicas and a collector whole."""
+
+    ITEMS = 3000
+
+    def _run(self, batch_size, checkpoint=None):
+        sink = CollectingSink(capacity=self.ITEMS)
+        system = ActorSystem.build(
+            _ensemble_topology(), _ensemble_factories(sink),
+            config=RuntimeConfig(mailbox_capacity=16, max_items=self.ITEMS,
+                                 seed=3, batch_size=batch_size,
+                                 batch_flush_timeout=NEVER,
+                                 checkpoint=checkpoint))
+        system.start()
+        try:
+            assert system.drain(DEADLINE * 3) == "completed", (
+                system.failure_reason)
+        finally:
+            assert system.stop() == []
+        return system, sink
+
+    def test_batch_8_delivers_what_batch_1_delivers(self):
+        _, plain = self._run(batch_size=1)
+        system, batched = self._run(batch_size=8)
+        assert any(actor.batch_targets for actor in system.actors
+                   if actor.actor_name == "parse.emitter")
+        assert plain.count == batched.count == self.ITEMS
+        rows, seen = _per_key(batched.items)
+        assert (rows, seen) == _per_key(plain.items)
+        # Every key's state counted each of its tuples exactly once.
+        assert all(counts == list(range(1, len(counts) + 1))
+                   for counts in seen.values())
+        # The records themselves, but for the order the collectors
+        # merged replicas in, which decides which tuple a key saw first.
+        assert (sorted(canonical(record.copy_with(seen=None))
+                       for record in batched.items)
+                == sorted(canonical(record.copy_with(seen=None))
+                          for record in plain.items))
+        assert system.context.dead_letters.total == 0
+
+    def test_barriers_cross_a_batched_ensemble_and_every_epoch_completes(
+            self):
+        interval = 250
+        session_config = CheckpointConfig(interval_items=interval)
+        system, sink = self._run(batch_size=8, checkpoint=session_config)
+        assert sink.count == self.ITEMS
+        # Barriers before items 250, 500, ..., 2750: epochs 1 to 11.
+        assert (system.checkpoint_session.store.completed
+                == self.ITEMS // interval - 1)
+
+
+class TestBlockedFlush:
+    def test_an_emitter_blocked_in_a_flush_shows_where_it_waits(self):
+        inbox, outbox = BoundedMailbox(16), BoundedMailbox(1)
+        outbox.put(("filler", "other"))  # full: the next put waits
+        target = BatchingTarget("stage", outbox, size=4, flush_timeout=NEVER)
+        emitter = EmitterActor("stage.emitter", "stage", [target], inbox,
+                               threading.Event())
+        target.owner = emitter  # as the system wires its own buffers
+        emitter.batch_targets = [target]
+        inbox.put((Batch((1, 2, 3, 4)), "up"), weight=4)
+        wait = 0.3
+        with _Running(emitter):
+            deadline = time.monotonic() + DEADLINE
+            while emitter.blocked_on is None:
+                assert time.monotonic() < deadline, "the flush never blocked"
+                time.sleep(0.005)
+            assert emitter.blocked_on == "stage"
+            time.sleep(wait)
+            assert outbox.get(timeout=DEADLINE)[0] == "filler"
+            batch, origin = outbox.get(timeout=DEADLINE)
+        assert batch.items == (1, 2, 3, 4) and origin == "up"
+        counters = emitter.counters
+        assert emitter.blocked_on is None
+        assert (counters.received, counters.processed,
+                counters.emitted) == (4, 4, 4)
+        assert counters.blocked_time >= wait
+        assert counters.busy_time < wait / 3

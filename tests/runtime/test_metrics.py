@@ -2,6 +2,7 @@
 snapshot arithmetic, and per-vertex aggregation."""
 
 import threading
+import time
 
 import pytest
 
@@ -74,6 +75,36 @@ class TestConcurrentCounters:
         assert snap.processed == 7
         with pytest.raises(AttributeError):
             snap.processed = 1
+
+
+class TestThreadCpuTime:
+    def test_cpu_time_reads_the_live_thread_then_keeps_its_final_value(self):
+        counters = ActorCounters()
+        spun, release, done = threading.Event(), threading.Event(), []
+
+        def actor_thread():
+            counters.thread_started()
+            deadline = time.thread_time() + 0.05
+            while time.thread_time() < deadline:
+                pass  # burn 50 ms of this thread's CPU
+            spun.set()
+            release.wait(10.0)
+            counters.thread_exiting()
+            done.append(counters.cpu_time)
+
+        thread = threading.Thread(target=actor_thread)
+        thread.start()
+        assert spun.wait(10.0)
+        live = counters.snapshot().cpu_time
+        # The spinning thread's clock, not this (idle) thread's.
+        assert live >= 0.05
+        release.set()
+        thread.join(10.0)
+        final = counters.snapshot().cpu_time
+        assert final == done[0] >= live
+
+    def test_never_started_counters_read_zero(self):
+        assert ActorCounters().snapshot().cpu_time == 0.0
 
 
 class TestMeanServiceTime:

@@ -18,7 +18,7 @@ from repro.core.graph import (
     StateKind,
     Topology,
 )
-from repro.core.physical import build_plan
+from repro.core.physical import Link, build_plan
 from repro.operators.basic import Identity
 from repro.operators.source_sink import CollectingSink, GeneratorSource
 from repro.runtime.checkpoint import CheckpointSession
@@ -146,6 +146,62 @@ class TestNodeKinds:
         plan = plan_of(topology, batch_size=4, batch_flush_timeout=0.01)
         assert [(l.batch_size, l.flush_timeout) for l in plan.links] == [
             (8, 0.2), (4, 0.01)]
+
+
+class TestEnsembleBatching:
+    """Scatter and gather links batch like their vertex's edges."""
+
+    def batching(self, plan):
+        return {(l.sender, l.receiver): (l.kind, l.batch_size,
+                                         l.flush_timeout)
+                for l in plan.links}
+
+    def test_scatter_follows_the_edges_in_and_gather_the_edges_out(self):
+        from repro.core.graph import BatchConfig
+
+        topology = Topology(
+            [OperatorSpec("src", 1e-3),
+             OperatorSpec("work", 1e-3, replication=2),
+             OperatorSpec("sink", 1e-4, output_selectivity=0.0)],
+            [Edge("src", "work", batch=BatchConfig(size=8,
+                                                   flush_timeout=0.2)),
+             Edge("work", "sink", batch=BatchConfig(size=16,
+                                                    flush_timeout=0.3))])
+        plan = plan_of(topology, batch_size=4, batch_flush_timeout=0.01)
+        assert self.batching(plan) == {
+            ("src", "work.emitter"): ("route", 8, 0.2),
+            ("work.emitter", "work#0"): ("scatter", 8, 0.2),
+            ("work.emitter", "work#1"): ("scatter", 8, 0.2),
+            ("work#0", "work.collector"): ("gather", 16, 0.3),
+            ("work#1", "work.collector"): ("gather", 16, 0.3),
+            ("work.collector", "sink"): ("route", 16, 0.3),
+        }
+
+    def test_edges_that_disagree_leave_the_default(self):
+        from repro.core.graph import BatchConfig
+
+        topology = Topology(
+            [OperatorSpec("src", 1e-3), OperatorSpec("a", 1e-3),
+             OperatorSpec("b", 1e-3),
+             OperatorSpec("m", 1e-3, replication=2),
+             OperatorSpec("sink", 1e-4, output_selectivity=0.0)],
+            [Edge("src", "a", 0.5), Edge("src", "b", 0.5),
+             Edge("a", "m", batch=BatchConfig(size=8)), Edge("b", "m"),
+             Edge("m", "sink")])
+        plan = plan_of(topology, batch_size=2, batch_flush_timeout=0.01)
+        batching = self.batching(plan)
+        # Into m: an 8 and a default edge disagree; out of m: one default.
+        assert batching[("m.emitter", "m#0")] == ("scatter", 2, 0.01)
+        assert batching[("m#1", "m.collector")] == ("gather", 2, 0.01)
+        assert batching[("a", "m.emitter")] == ("route", 8, 0.05)
+
+    @pytest.mark.parametrize("topology", TESTBED + FISSIONED,
+                             ids=lambda t: t.name)
+    def test_unbatched_runs_keep_todays_links(self, topology):
+        # Today's scatter and gather links: unbatched, default deadline.
+        for link in plan_of(topology).links:
+            if link.kind != "route":
+                assert link == Link(link.sender, link.receiver, link.kind)
 
 
 def test_barrier_channels_read_off_the_plan_equal_the_hand_wired_ones():

@@ -108,6 +108,19 @@ class TestLosslessShutdown:
         assert result.sink_counts == {"sink": 500}
         assert result.dropped_messages == 0
 
+    def test_reports_carry_each_actors_thread_cpu_time(self):
+        topology = chain_topology(replication=2)
+        config = ProcShardConfig(shards=2, max_items=300)
+        system = ProcShardSystem.build(
+            topology, factories_for(topology), config=config,
+            placement={"source": (0,), "stage": (0, 1), "sink": (0,)})
+        result = system.run_to_exhaustion()
+        assert result.failure is None
+        totals = result.measurements.totals
+        # Both shards' actors, each read off its own thread's clock.
+        assert "stage#1" in totals and "stage#0" in totals
+        assert all(snapshot.cpu_time > 0.0 for snapshot in totals.values())
+
     def test_fission_across_shards_is_lossless(self):
         topology = chain_topology(replication=3)
         config = ProcShardConfig(shards=2, max_items=400, batch_size=2,
@@ -228,7 +241,7 @@ class TestWorkConservingChannelFlush:
             inbox.put(("tuple", "source"))
             assert data_recv.poll(10.0), "the tuple was stranded"
             _, (payload, origin) = data_recv.recv()
-            assert isinstance(payload, Batch) and payload.items == ("tuple",)
+            assert payload == "tuple"  # a one-tuple flush travels bare
             assert origin == "source"
         finally:
             inbox.close()

@@ -7,6 +7,8 @@ import pytest
 
 from repro.codegen.ss2py import (CodegenConfig, _literal, generate_code,
                                  write_code)
+from repro.core.autofusion import auto_fuse
+from repro.core.fission import eliminate_bottlenecks
 from repro.core.fusion import apply_fusion
 from repro.core.graph import (
     Edge,
@@ -16,6 +18,7 @@ from repro.core.graph import (
     Topology,
     TopologyError,
 )
+from repro.topology import generate_testbed
 
 
 def executable_topology():
@@ -153,6 +156,55 @@ class TestExecution:
         path = tmp_path / "generated_fused.py"
         write_code(str(path), fusion.fused, original=topology,
                    fusion_plans=[fusion.plan],
+                   config=CodegenConfig(duration=0.8))
+        completed = subprocess.run(
+            [sys.executable, str(path), "--duration", "0.8"],
+            capture_output=True, text=True, timeout=60,
+        )
+        assert completed.returncode == 0, completed.stderr
+        assert "measured throughput" in completed.stdout
+
+
+def _nested_fusion(seed, index):
+    """A testbed topology whose auto-fusion fuses a fused vertex again."""
+    fissioned = eliminate_bottlenecks(
+        generate_testbed(50, seed=seed)[index]).optimized
+    return fissioned, auto_fuse(fissioned)
+
+
+class TestNestedFusionPlans:
+    """``auto_fuse`` fuses fused vertices again; the program gets one
+    flat plan per fused vertex, over the original operators."""
+
+    @pytest.mark.parametrize("seed,index", [(7, 0), (1, 6), (2, 5)])
+    def test_program_compiles_with_one_flat_plan_per_fused_vertex(
+            self, seed, index):
+        original, fused = _nested_fusion(seed, index)
+        names = {plan.fused_name for plan in fused.plans}
+        assert any(member in names
+                   for plan in fused.plans for member in plan.members)
+        code = generate_code(fused.fused, original=original,
+                             fusion_plans=fused.plans)
+        namespace = {}
+        exec(compile(code, "<generated>", "exec"), namespace)
+        plans = namespace["FUSION_PLANS"]
+        vertices = set(namespace["TOPOLOGY"].names)
+        assert {plan.fused_name for plan in plans} == names & vertices
+        rank = {name: i
+                for i, name in enumerate(original.topological_order())}
+        for plan in plans:
+            assert all(member in original for member in plan.members)
+            assert ([rank[m] for m in plan.members]
+                    == sorted(rank[m] for m in plan.members))
+        assert set(namespace["make_factories"]()) == (
+            (vertices - names)
+            | {m for plan in plans for m in plan.members})
+
+    def test_program_of_a_nested_plan_runs(self, tmp_path):
+        original, fused = _nested_fusion(7, 0)
+        path = tmp_path / "generated_nested.py"
+        write_code(str(path), fused.fused, original=original,
+                   fusion_plans=fused.plans,
                    config=CodegenConfig(duration=0.8))
         completed = subprocess.run(
             [sys.executable, str(path), "--duration", "0.8"],
